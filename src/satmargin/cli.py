@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import cnf as cnf_mod
 from .cnf import (CNF, BRUTE_FORCE_CAP, TriviallyUnsatError, classify,
@@ -25,7 +24,8 @@ from .chains import (CapacityError, FragmentError, load_family_config,
                      instance_to_dimacs, synthesize)
 from .elimination import RowBlowupError, chain_aggregate, fm_project
 from .horn_lp import solve_horn_margin
-from .margin import decision_margin, aggregate_system, margin_decay_sweep
+from .margin import (decision_margin, aggregate_ratio_bound, aggregate_system,
+                     margin_decay_sweep)
 from .reduction import cnf_to_system, format_system
 
 EXPERIMENT_HEADER = ["instance_id", "family", "fragment", "n", "e", "b", "c",
@@ -136,12 +136,7 @@ def cmd_margin(args) -> int:
                   else aggregate_system(agg, inst.cnf.num_vars))
         keep = set(inst.candidate_vars)
         dominant = inst.dominant_var
-        bound = None
-        if len(inst.candidate_vars) >= 2:
-            a1 = abs(agg.row.coeffs.get(dominant, 0))
-            a2 = abs(agg.row.coeffs.get(inst.candidate_vars[1], 0))
-            if a1 and a2:
-                bound = Fraction(a2, a1)
+        _, _, bound = aggregate_ratio_bound(inst, agg)
     else:
         if args.dominant is None:
             raise DomainError("file mode needs --dominant")

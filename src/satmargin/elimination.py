@@ -162,7 +162,9 @@ class _Workspace:
                 for v, c in hi_coeffs.items():
                     coeffs[v] = coeffs.get(v, 0) + m_hi * c
                 coeffs = {v: c for v, c in coeffs.items() if c != 0}
-                assert var not in coeffs
+                if var in coeffs:
+                    raise RuntimeError(
+                        f"FM invariant broken: x{var} survived its own elimination")
                 bound = m_lo * lo_bound + m_hi * hi_bound
                 mult_lo, mult_hi = Fraction(m_lo), Fraction(m_hi)
                 if coeffs:

@@ -1,40 +1,56 @@
-"""Horn-SAT decision procedure driven by LP feasible-interval estimation.
+"""Horn-SAT decision procedure driven by one least-element LP.
 
-The procedure: build the clause inequality system, compute every variable's
-exact feasible interval over the rational relaxation, select the variables
-whose interval excludes 0 (lower bound > 0), assign 1 to those and 0 to the
-rest, and verify the assignment on the CNF.  Verification is unconditional,
-so the answer is sound whatever the estimation step does; unit propagation
-always runs alongside as a cross-check and the report records agreement.
+Written as ``>=`` rows, a Horn clause row has at most one positive
+coefficient and the box row ``-x >= -1`` has none, so the relaxation is
+closed under componentwise min and, when nonempty, has a least element x*
+(Cottle & Veinott, "Polyhedral sets having a least element", Math.
+Programming 3, 1972).  Every feasible x is >= x* componentwise, so a single
+exact ``min sum x`` has x* as its unique optimum, and x*_v is variable v's
+LP lower bound.
+
+The procedure: build the clause inequality system, solve that one LP,
+select the variables whose least-element coordinate is > 0 (their feasible
+interval excludes 0), assign 1 to those and 0 to the rest, and verify the
+assignment on the CNF.  Verification is unconditional, so the answer is
+sound whatever the estimation step does; unit propagation always runs
+alongside as a cross-check and the report records agreement.
 
 With exact LP the selection threshold is sharp (no epsilon): a lower bound
-greater than 0 is exactly membership in the minimal model.  The interval
-data is kept in the report so the asymmetry between value-1 variables
-(lower bound exactly 1) and value-0 variables (upper bound possibly strictly
-between 0 and 1) can be inspected.
+greater than 0 is exactly membership in the minimal model.  Every
+variable's full feasible interval is computed on demand, on the first read
+of ``HornSolveReport.intervals``, so the asymmetry between value-1
+variables (lower bound exactly 1) and value-0 variables (upper bound
+possibly strictly between 0 and 1) can still be inspected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cnf import CNF, HORN, SolveResult, classify, evaluate, solve_horn_unit_prop
-from .reduction import cnf_to_system
-from .simplex import ExactSimplex
+from .reduction import InequalitySystem, cnf_to_system
+from .simplex import ExactSimplex, variable_intervals
 
 
 @dataclass
 class HornSolveReport:
     result: SolveResult
-    intervals: dict[int, tuple[Fraction, Fraction]] | None  # None: LP infeasible
     selected: frozenset[int]
     agreed_with_unit_prop: bool
     unit_prop: SolveResult
+    system: InequalitySystem = field(repr=False)
+
+    @cached_property
+    def intervals(self) -> dict[int, tuple[Fraction, Fraction]] | None:
+        """Exact feasible interval of every variable (None: LP infeasible),
+        computed on first read: 2n objectives on one warm tableau."""
+        return variable_intervals(self.system)
 
 
 def solve_horn_margin(cnf: CNF) -> HornSolveReport:
-    """Decide a Horn CNF by LP interval estimation plus verification."""
+    """Decide a Horn CNF by one least-element LP plus verification."""
     if cnf.clauses and HORN not in classify(cnf):
         raise ValueError("not a Horn formula")
     reference = solve_horn_unit_prop(cnf)
@@ -42,14 +58,11 @@ def solve_horn_margin(cnf: CNF) -> HornSolveReport:
     tableau = ExactSimplex(system)
     if not tableau.feasible():
         result = SolveResult("UNSAT", None, "horn-lp-margin")
-        return HornSolveReport(result, None, frozenset(),
-                               reference.status == "UNSAT", reference)
-    intervals: dict[int, tuple[Fraction, Fraction]] = {}
-    for v in range(1, cnf.num_vars + 1):
-        lo = tableau.minimize({v: Fraction(1)}).value
-        hi = tableau.maximize({v: Fraction(1)}).value
-        intervals[v] = (lo, hi)
-    selected = frozenset(v for v, (lo, _) in intervals.items() if lo > 0)
+        return HornSolveReport(result, frozenset(),
+                               reference.status == "UNSAT", reference, system)
+    least = tableau.minimize({v: Fraction(1)
+                              for v in range(1, cnf.num_vars + 1)}).witness
+    selected = frozenset(v for v, x in enumerate(least, start=1) if x > 0)
     witness = tuple(1 if v in selected else 0
                     for v in range(1, cnf.num_vars + 1))
     if evaluate(cnf, witness):
@@ -58,4 +71,4 @@ def solve_horn_margin(cnf: CNF) -> HornSolveReport:
     else:
         result = SolveResult("UNSAT", None, "horn-lp-margin")
         agreed = reference.status == "UNSAT"
-    return HornSolveReport(result, intervals, selected, agreed, reference)
+    return HornSolveReport(result, selected, agreed, reference, system)

@@ -148,6 +148,21 @@ def aggregate_system(agg: AggregateInequality, num_vars: int) -> InequalitySyste
         dict(agg.row.coeffs), agg.row.lower, agg.row.upper)], box=True)
 
 
+def aggregate_ratio_bound(inst: SynthesizedInstance,
+                          agg: AggregateInequality
+                          ) -> tuple[int, int | None, Fraction | None]:
+    """(a1, a2, a2/a1): the aggregate's absolute coefficients on the dominant
+    variable and on the first companion candidate, and their ratio, which
+    bounds the margin when flipping the companion re-admits the infeasible
+    point.  a2 is None without a companion; the ratio is None unless both
+    coefficients are nonzero."""
+    a1 = abs(agg.row.coeffs.get(inst.dominant_var, 0))
+    if len(inst.candidate_vars) < 2:
+        return a1, None, None
+    a2 = abs(agg.row.coeffs.get(inst.candidate_vars[1], 0))
+    return a1, a2, (Fraction(a2, a1) if a1 and a2 else None)
+
+
 @dataclass
 class SweepRow:
     fragment: str
@@ -186,16 +201,10 @@ def margin_decay_sweep(fragment: str, e_values, b: int, c: int, d: int = 1,
     for e in e_values:
         inst = synthesize_fragment_family(fragment, e=e, c=c, b=b, d=d, seed=seed)
         agg = chain_aggregate(inst)
-        a1 = abs(agg.row.coeffs.get(inst.dominant_var, 0))
-        a2 = None
-        if d >= 2:
-            a2 = abs(agg.row.coeffs.get(inst.candidate_vars[1], 0))
+        a1, a2, bound = aggregate_ratio_bound(inst, agg)
         infeasible = 1 - inst.expected_dominant_value
         system = (aggregate_system(agg, inst.cnf.num_vars) if aggregate_only
                   else cnf_to_system(inst.cnf))
-        bound = None
-        if a2 and a1:
-            bound = Fraction(a2, a1)
         report = decision_margin(system, inst.dominant_var, infeasible,
                                  set(inst.candidate_vars), coeff_ratio_bound=bound)
         rows.append(SweepRow(

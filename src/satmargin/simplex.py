@@ -143,7 +143,9 @@ class ExactSimplex:
     def _pivot(self, r: int, c: int):
         T = self.T
         piv = T[r, c]
-        assert piv > 0
+        if not piv > 0:
+            raise RuntimeError(
+                f"simplex invariant broken: pivot T[{r},{c}] = {piv} is not positive")
         if T.dtype != object:
             hi = max(int(np.abs(T).max()), int(np.abs(self.Z0).max()),
                      int(np.abs(self.Z1).max()))

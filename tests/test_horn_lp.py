@@ -6,6 +6,8 @@ import pytest
 from satmargin.cnf import CNF, evaluate, solve_horn_unit_prop
 from satmargin.chains import synthesize_fragment_family
 from satmargin.horn_lp import solve_horn_margin
+from satmargin.reduction import cnf_to_system
+from satmargin.simplex import ExactSimplex, variable_intervals
 
 from conftest import random_horn_cnf
 
@@ -94,3 +96,45 @@ class TestAsymmetry:
             assert lo == 0 and hi < 1
             uppers.append(hi)
         assert uppers == [Fraction(0), Fraction(2, 3), Fraction(6, 7)]
+
+
+class TestLeastElement:
+    """Horn rows as >= rows have at most one positive coefficient, so the
+    relaxation has a least element (Cottle & Veinott 1972): the optimum of
+    min sum x is every variable's lower bound at once."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(83)
+        for _ in range(150):
+            yield random_horn_cnf(rng, rng.randint(1, 12), rng.randint(1, 24))
+        for fragment in ("horn-coupler", "horn-dominant"):
+            for e in (1, 2, 3):
+                for c in (2, 3):
+                    yield synthesize_fragment_family(fragment, e=e, c=c, b=2).cnf
+
+    def test_least_element_is_per_variable_minima(self):
+        checked = 0
+        for cnf in self.instances():
+            system = cnf_to_system(cnf)
+            intervals = variable_intervals(system)
+            if intervals is None:
+                continue
+            total = {v: Fraction(1) for v in range(1, cnf.num_vars + 1)}
+            least = ExactSimplex(system).minimize(total).witness
+            assert least == tuple(intervals[v][0]
+                                  for v in range(1, cnf.num_vars + 1))
+            report = solve_horn_margin(cnf)
+            assert report.selected == {v for v, (lo, _) in intervals.items()
+                                       if lo > 0}
+            checked += 1
+        assert checked > 60
+
+    def test_intervals_not_computed_by_solve(self):
+        rng = random.Random(84)
+        for _ in range(20):
+            cnf = random_horn_cnf(rng, rng.randint(1, 10), rng.randint(1, 18))
+            report = solve_horn_margin(cnf)
+            assert "intervals" not in report.__dict__
+            assert report.intervals == variable_intervals(cnf_to_system(cnf))
+            assert "intervals" in report.__dict__

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from satmargin.cnf import CNF, parse_dimacs, brute_force_models
 from satmargin.reduction import (
     BoundedInequality, InequalitySystem, cnf_to_system, satisfies,
@@ -233,3 +235,11 @@ class TestInvariants:
             tab = ExactSimplex(sys_)
             if brute_force_models(cnf):
                 assert tab.feasible()
+
+    def test_nonpositive_pivot_raises(self):
+        # an explicit check, so it survives python -O unlike an assert
+        tab = ExactSimplex(eq3_system())
+        r, c = next((r, c) for r in range(tab.m) for c in range(tab.ncols)
+                    if tab.T[r, c] <= 0)
+        with pytest.raises(RuntimeError, match="pivot"):
+            tab._pivot(r, c)
