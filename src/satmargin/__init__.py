@@ -17,8 +17,7 @@ from .elimination import (EliminationTrace, AggregateInequality,
                           NumberSystemReport, fm_eliminate, fm_project,
                           chain_aggregate, decompose_base_b, digits_match,
                           max_exponent, number_system_report, integral_tighten)
-from .simplex import LpProblem, LpResult, ExactSimplex, solve, \
-    variable_interval, variable_intervals
+from .simplex import ExactSimplex
 from .margin import (DecisionLineId, MarginReport, decision_interval,
                      decision_margin, margin_decay_sweep, aggregate_system)
 from .horn_lp import HornSolveReport, solve_horn_margin

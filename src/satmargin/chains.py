@@ -304,7 +304,10 @@ def synthesize(spec: CoupledFamilySpec, seed: int | None = None) -> SynthesizedI
         cnf = CNF.from_ints(n, xors=clauses)
     else:
         cnf = CNF.from_ints(n, ors=clauses)
-    assert len(cnf.clauses) == sum(len(bld.clauses) for bld in builders)
+    if len(cnf.clauses) != len(clauses):
+        raise RuntimeError(
+            f"synthesis invariant broken: {len(clauses)} chain clauses built, "
+            f"{len(cnf.clauses)} in the CNF")
 
     return SynthesizedInstance(
         cnf=cnf,

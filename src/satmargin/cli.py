@@ -22,10 +22,9 @@ from .cnf import (CNF, BRUTE_FORCE_CAP, TriviallyUnsatError, classify,
                   TWO_SAT, HORN, XOR_TAG)
 from .chains import (CapacityError, FragmentError, load_family_config,
                      instance_to_dimacs, synthesize)
-from .elimination import RowBlowupError, chain_aggregate, fm_project
+from .elimination import RowBlowupError, fm_project
 from .horn_lp import solve_horn_margin
-from .margin import (decision_margin, aggregate_ratio_bound, aggregate_system,
-                     margin_decay_sweep)
+from .margin import decision_margin, family_margin, margin_decay_sweep
 from .reduction import cnf_to_system, format_system
 
 EXPERIMENT_HEADER = ["instance_id", "family", "fragment", "n", "e", "b", "c",
@@ -127,16 +126,12 @@ def _margin_csv(report, out) -> None:
 
 
 def cmd_margin(args) -> int:
+    options = dict(order=args.order, max_rows=args.max_rows,
+                   line_cap=args.line_cap)
     if args.config:
         spec, seed = load_family_config(args.config)
         inst = synthesize(spec, seed=args.seed if args.seed is not None else seed)
-        agg = chain_aggregate(inst)
-        infeasible = 1 - inst.expected_dominant_value
-        system = (cnf_to_system(inst.cnf) if args.full
-                  else aggregate_system(agg, inst.cnf.num_vars))
-        keep = set(inst.candidate_vars)
-        dominant = inst.dominant_var
-        _, _, bound = aggregate_ratio_bound(inst, agg)
+        report, _ = family_margin(inst, aggregate_only=not args.full, **options)
     else:
         if args.dominant is None:
             raise DomainError("file mode needs --dominant")
@@ -151,11 +146,8 @@ def cmd_margin(args) -> int:
                               if v != dominant), None)
             keep = {companion} if companion else set()
         keep.add(dominant)
-        infeasible = args.infeasible_value
-        bound = None
-    report = decision_margin(system, dominant, infeasible, keep,
-                             order=args.order, max_rows=args.max_rows,
-                             line_cap=args.line_cap, coeff_ratio_bound=bound)
+        report = decision_margin(system, dominant, args.infeasible_value,
+                                 keep, **options)
     _margin_csv(report, sys.stdout)
     return 0
 

@@ -212,8 +212,7 @@ class _Workspace:
             tab = ExactSimplex(system)
             if not tab.feasible():
                 continue
-            res = tab.minimize({v: Fraction(c) for v, c in coeffs.items()})
-            if res.status == "optimal" and res.value >= bound:
+            if tab.minimize({v: Fraction(c) for v, c in coeffs.items()}) >= bound:
                 del self.rows[rid]
 
     def to_system(self) -> InequalitySystem:

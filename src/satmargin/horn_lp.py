@@ -18,9 +18,10 @@ alongside as a cross-check and the report records agreement.
 With exact LP the selection threshold is sharp (no epsilon): a lower bound
 greater than 0 is exactly membership in the minimal model.  Every
 variable's full feasible interval is computed on demand, on the first read
-of ``HornSolveReport.intervals``, so the asymmetry between value-1
-variables (lower bound exactly 1) and value-0 variables (upper bound
-possibly strictly between 0 and 1) can still be inspected.
+of ``HornSolveReport.intervals``, on the tableau the solve already took
+through phase 1, so the asymmetry between value-1 variables (lower bound
+exactly 1) and value-0 variables (upper bound possibly strictly between 0
+and 1) can still be inspected.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .cnf import CNF, HORN, SolveResult, classify, evaluate, solve_horn_unit_prop
-from .reduction import InequalitySystem, cnf_to_system
-from .simplex import ExactSimplex, variable_intervals
+from .cnf import CNF, SolveResult, evaluate, solve_horn_unit_prop
+from .reduction import cnf_to_system
+from .simplex import ExactSimplex
 
 
 @dataclass
@@ -40,29 +41,26 @@ class HornSolveReport:
     selected: frozenset[int]
     agreed_with_unit_prop: bool
     unit_prop: SolveResult
-    system: InequalitySystem = field(repr=False)
+    tableau: ExactSimplex = field(repr=False)
 
     @cached_property
     def intervals(self) -> dict[int, tuple[Fraction, Fraction]] | None:
         """Exact feasible interval of every variable (None: LP infeasible),
-        computed on first read: 2n objectives on one warm tableau."""
-        return variable_intervals(self.system)
+        computed on first read: 2n objectives on the solve's warm tableau."""
+        return self.tableau.intervals()
 
 
 def solve_horn_margin(cnf: CNF) -> HornSolveReport:
     """Decide a Horn CNF by one least-element LP plus verification."""
-    if cnf.clauses and HORN not in classify(cnf):
-        raise ValueError("not a Horn formula")
-    reference = solve_horn_unit_prop(cnf)
-    system = cnf_to_system(cnf)
-    tableau = ExactSimplex(system)
+    reference = solve_horn_unit_prop(cnf)  # raises on a non-Horn formula
+    tableau = ExactSimplex(cnf_to_system(cnf))
     if not tableau.feasible():
         result = SolveResult("UNSAT", None, "horn-lp-margin")
         return HornSolveReport(result, frozenset(),
-                               reference.status == "UNSAT", reference, system)
-    least = tableau.minimize({v: Fraction(1)
-                              for v in range(1, cnf.num_vars + 1)}).witness
-    selected = frozenset(v for v, x in enumerate(least, start=1) if x > 0)
+                               reference.status == "UNSAT", reference, tableau)
+    tableau.minimize({v: Fraction(1) for v in range(1, cnf.num_vars + 1)})
+    selected = frozenset(v for v, x in enumerate(tableau.witness(), start=1)
+                         if x > 0)
     witness = tuple(1 if v in selected else 0
                     for v in range(1, cnf.num_vars + 1))
     if evaluate(cnf, witness):
@@ -71,4 +69,4 @@ def solve_horn_margin(cnf: CNF) -> HornSolveReport:
     else:
         result = SolveResult("UNSAT", None, "horn-lp-margin")
         agreed = reference.status == "UNSAT"
-    return HornSolveReport(result, selected, agreed, reference, system)
+    return HornSolveReport(result, selected, agreed, reference, tableau)

@@ -163,6 +163,29 @@ def aggregate_ratio_bound(inst: SynthesizedInstance,
     return a1, a2, (Fraction(a2, a1) if a1 and a2 else None)
 
 
+def family_margin(inst: SynthesizedInstance, aggregate_only: bool = True,
+                  **options) -> tuple[MarginReport, AggregateInequality]:
+    """Decision margin of a synthesized instance's dominant variable at its
+    infeasible value, over the candidate variables, with the aggregate's
+    coefficient ratio as the bound; also returns the aggregate.
+
+    With ``aggregate_only`` the margin is taken over the aggregate row alone
+    (there margin = b_min / a1 on the all-off line); otherwise the full
+    clause system is projected, which is slower but cross-checks the
+    aggregate picture.  ``options`` (order, max_rows, line_cap) go to
+    ``decision_margin``.
+    """
+    agg = chain_aggregate(inst)
+    _, _, bound = aggregate_ratio_bound(inst, agg)
+    system = (aggregate_system(agg, inst.cnf.num_vars) if aggregate_only
+              else cnf_to_system(inst.cnf))
+    report = decision_margin(system, inst.dominant_var,
+                             1 - inst.expected_dominant_value,
+                             set(inst.candidate_vars),
+                             coeff_ratio_bound=bound, **options)
+    return report, agg
+
+
 @dataclass
 class SweepRow:
     fragment: str
@@ -187,26 +210,15 @@ class SweepRow:
 def margin_decay_sweep(fragment: str, e_values, b: int, c: int, d: int = 1,
                        aggregate_only: bool = True,
                        seed: int | None = None) -> list[SweepRow]:
-    """Synthesize the fragment's canonical family for each chain count e,
-    aggregate, and compute the decision margin.
-
-    With ``aggregate_only`` the margin is taken over the aggregate row alone
-    (there margin = b_min / a1 on the all-off line); otherwise the full
-    clause system is projected onto the candidate variables, which is slower
-    but cross-checks the aggregate picture.
-    """
+    """Synthesize the fragment's canonical family for each chain count e and
+    take its ``family_margin``."""
     if fragment == FRAGMENT_XOR:
         raise ValueError("XOR families have no inequality form to take margins of")
     rows = []
     for e in e_values:
         inst = synthesize_fragment_family(fragment, e=e, c=c, b=b, d=d, seed=seed)
-        agg = chain_aggregate(inst)
-        a1, a2, bound = aggregate_ratio_bound(inst, agg)
-        infeasible = 1 - inst.expected_dominant_value
-        system = (aggregate_system(agg, inst.cnf.num_vars) if aggregate_only
-                  else cnf_to_system(inst.cnf))
-        report = decision_margin(system, inst.dominant_var, infeasible,
-                                 set(inst.candidate_vars), coeff_ratio_bound=bound)
+        report, agg = family_margin(inst, aggregate_only)
+        a1, a2, _ = aggregate_ratio_bound(inst, agg)
         rows.append(SweepRow(
             fragment=fragment, e=e, n=inst.cnf.num_vars,
             b=inst.spec.b, c=c, d=d, a1=a1, a2=a2,

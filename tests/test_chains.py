@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from satmargin import chains
 from satmargin.cnf import (CNF, brute_force_models, classify,
                            TWO_SAT, HORN, XOR_TAG, general_k)
 from satmargin.chains import (
@@ -94,6 +95,15 @@ class TestSynthesize:
         inst = synthesize(spec)
         assert inst.coupler_vars == []
         assert verify_dominance(inst)
+
+    def test_lost_clause_raises(self, monkeypatch):
+        # an explicit check, so it survives python -O unlike an assert
+        from_ints = CNF.from_ints
+        monkeypatch.setattr(chains.CNF, "from_ints", staticmethod(
+            lambda *args, **kwargs: drop_clause(from_ints(*args, **kwargs), 0)))
+        spec = CoupledFamilySpec(e=2, b=2, c=3, d=1, digits=((1, 1),))
+        with pytest.raises(RuntimeError, match="clauses"):
+            synthesize(spec)
 
     def test_coupler_multiplicities(self):
         spec = CoupledFamilySpec(e=3, b=2, c=3, d=1, digits=((1, 1, 1),))

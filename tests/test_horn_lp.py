@@ -7,7 +7,7 @@ from satmargin.cnf import CNF, evaluate, solve_horn_unit_prop
 from satmargin.chains import synthesize_fragment_family
 from satmargin.horn_lp import solve_horn_margin
 from satmargin.reduction import cnf_to_system
-from satmargin.simplex import ExactSimplex, variable_intervals
+from satmargin.simplex import ExactSimplex
 
 from conftest import random_horn_cnf
 
@@ -117,13 +117,13 @@ class TestLeastElement:
         checked = 0
         for cnf in self.instances():
             system = cnf_to_system(cnf)
-            intervals = variable_intervals(system)
+            intervals = ExactSimplex(system).intervals()
             if intervals is None:
                 continue
-            total = {v: Fraction(1) for v in range(1, cnf.num_vars + 1)}
-            least = ExactSimplex(system).minimize(total).witness
-            assert least == tuple(intervals[v][0]
-                                  for v in range(1, cnf.num_vars + 1))
+            tab = ExactSimplex(system)
+            tab.minimize({v: Fraction(1) for v in range(1, cnf.num_vars + 1)})
+            assert tab.witness() == tuple(intervals[v][0]
+                                          for v in range(1, cnf.num_vars + 1))
             report = solve_horn_margin(cnf)
             assert report.selected == {v for v, (lo, _) in intervals.items()
                                        if lo > 0}
@@ -136,5 +136,32 @@ class TestLeastElement:
             cnf = random_horn_cnf(rng, rng.randint(1, 10), rng.randint(1, 18))
             report = solve_horn_margin(cnf)
             assert "intervals" not in report.__dict__
-            assert report.intervals == variable_intervals(cnf_to_system(cnf))
+            assert report.intervals == \
+                ExactSimplex(cnf_to_system(cnf)).intervals()
             assert "intervals" in report.__dict__
+
+    def test_intervals_reuse_the_solve_tableau(self, monkeypatch):
+        built, pivots = [], []
+        init, pivot = ExactSimplex.__init__, ExactSimplex._pivot
+
+        def counting_init(self, system):
+            built.append(system)
+            init(self, system)
+
+        def counting_pivot(self, r, c):
+            pivots.append((r, c))
+            pivot(self, r, c)
+
+        monkeypatch.setattr(ExactSimplex, "__init__", counting_init)
+        monkeypatch.setattr(ExactSimplex, "_pivot", counting_pivot)
+        inst = synthesize_fragment_family("horn-coupler", e=2, c=3, b=2)
+        report = solve_horn_margin(inst.cnf)
+        assert len(built) == 1
+        assert report.intervals[inst.dominant_var] == (0, Fraction(2, 3))
+        assert len(built) == 1
+        # an LP-infeasible CNF: phase 1 already said so, nothing pivots again
+        report = solve_horn_margin(CNF.from_ints(2, ors=[[1], [2], [-1, -2]]))
+        assert report.result.status == "UNSAT"
+        solved = len(pivots)
+        assert report.intervals is None
+        assert len(pivots) == solved and len(built) == 2

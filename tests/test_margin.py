@@ -12,7 +12,7 @@ from satmargin.margin import (
 )
 from satmargin.reduction import (BoundedInequality, InequalitySystem,
                                  cnf_to_system, fix_variables)
-from satmargin.simplex import variable_interval
+from satmargin.simplex import ExactSimplex
 
 from conftest import random_cnf
 
@@ -133,7 +133,8 @@ class TestProjectionConsistency:
             interval = decision_interval(projected, line)
             fixed = fix_variables(system, {v: Fraction(val)
                                            for v, val in zip(others, values)})
-            lp = variable_interval(fixed, dominant)
+            intervals = ExactSimplex(fixed).intervals()
+            lp = None if intervals is None else intervals[dominant]
             assert interval == lp, (line, interval, lp)
 
     def test_on_synthesized(self):

@@ -8,15 +8,21 @@ from satmargin.cnf import CNF, parse_dimacs, brute_force_models
 from satmargin.reduction import (
     BoundedInequality, InequalitySystem, cnf_to_system, satisfies,
 )
-from satmargin.simplex import (
-    ExactSimplex, LpProblem, solve, variable_interval, variable_intervals,
-)
+from satmargin.simplex import ExactSimplex
 
 from conftest import EQ1_DIMACS, random_system, random_horn_cnf
 
 
 def eq3_system():
     return cnf_to_system(parse_dimacs(EQ1_DIMACS))
+
+
+def fresh_interval(system, var):
+    """(min, max) of one variable, each on its own fresh tableau; None when
+    the system is infeasible."""
+    lo = ExactSimplex(system).minimize({var: Fraction(1)})
+    hi = ExactSimplex(system).maximize({var: Fraction(1)})
+    return None if lo is None else (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -72,77 +78,71 @@ def oracle_minimum(system, objective):
 
 class TestExamples:
     def test_min_x1_is_one_third(self):
-        res = solve(LpProblem(eq3_system(), {1: Fraction(1)}, "min"))
-        assert res.status == "optimal"
-        assert res.value == Fraction(1, 3)
+        tab = ExactSimplex(eq3_system())
+        assert tab.minimize({1: Fraction(1)}) == Fraction(1, 3)
         # the hand-derived witness is feasible and attains the optimum
         hand = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))
         assert satisfies(eq3_system(), hand)
-        assert res.witness[0] == Fraction(1, 3)
+        assert tab.witness()[0] == Fraction(1, 3)
         # independent vertex-enumeration oracle
         assert oracle_minimum(eq3_system(), {1: Fraction(1)}) == Fraction(1, 3)
 
     def test_max_x1_is_one(self):
-        res = solve(LpProblem(eq3_system(), {1: Fraction(1)}, "max"))
-        assert res.status == "optimal" and res.value == 1
+        assert ExactSimplex(eq3_system()).maximize({1: Fraction(1)}) == 1
 
     def test_infeasible(self):
         sys_ = InequalitySystem(1, [
             BoundedInequality({1: 1}, Fraction(1), Fraction(1)),
             BoundedInequality({1: -1}, Fraction(0), Fraction(0)),
         ])
-        assert solve(LpProblem(sys_, {1: Fraction(1)}, "min")).status == "infeasible"
+        tab = ExactSimplex(sys_)
+        assert not tab.feasible()
+        assert tab.minimize({1: Fraction(1)}) is None
+        assert tab.maximize({1: Fraction(1)}) is None
 
     def test_witness_satisfies_exactly(self):
-        res = solve(LpProblem(eq3_system(), {1: Fraction(1)}, "min"))
-        assert satisfies(eq3_system(), res.witness)
+        tab = ExactSimplex(eq3_system())
+        tab.minimize({1: Fraction(1)})
+        assert satisfies(eq3_system(), tab.witness())
 
-    def test_unbounded_without_box(self):
+    def test_unboxed_rejected(self):
+        # every LP here is over the 0/1 box, which is what keeps it bounded
         sys_ = InequalitySystem(
             1, [BoundedInequality({1: 1}, Fraction(0), Fraction(10 ** 9))],
             box=False)
-        res = solve(LpProblem(sys_, {1: Fraction(-1)}, "min"))
-        assert res.status in ("optimal", "unbounded")
-        assert res.status == "optimal" and res.value == -(10 ** 9)
-        res2 = solve(LpProblem(sys_, {1: Fraction(1)}, "min"))
-        assert res2.status == "optimal" and res2.value == 0
-
-    def test_truly_unbounded(self):
-        sys_ = InequalitySystem(
-            1, [BoundedInequality({1: 1}, Fraction(0), Fraction(10 ** 9))],
-            box=False)
-        # min -x1 bounded above by the row; min over x1 >= ... none: use free var
-        free = InequalitySystem(2, [BoundedInequality({1: 1}, 0, 5)], box=False)
-        res = solve(LpProblem(free, {2: Fraction(1)}, "min"))
-        assert res.status == "unbounded"
+        with pytest.raises(ValueError, match="boxed"):
+            ExactSimplex(sys_)
 
 
 class TestVariableInterval:
     def test_eq3_x1(self):
-        assert variable_interval(eq3_system(), 1) == (Fraction(1, 3), Fraction(1))
+        assert fresh_interval(eq3_system(), 1) == (Fraction(1, 3), Fraction(1))
+        assert ExactSimplex(eq3_system()).intervals()[1] == \
+            (Fraction(1, 3), Fraction(1))
 
     def test_unit_clause(self):
         sys_ = cnf_to_system(CNF.from_ints(1, ors=[[1]]))
-        assert variable_interval(sys_, 1) == (1, 1)
+        assert ExactSimplex(sys_).intervals() == {1: (1, 1)}
 
     def test_empty_system(self):
-        assert variable_interval(InequalitySystem(1, []), 1) == (0, 1)
+        assert ExactSimplex(InequalitySystem(1, [])).intervals() == {1: (0, 1)}
 
     def test_infeasible_returns_none(self):
         sys_ = InequalitySystem(1, [
             BoundedInequality({1: 1}, Fraction(1), Fraction(1)),
             BoundedInequality({1: -1}, Fraction(0), Fraction(0)),
         ])
-        assert variable_interval(sys_, 1) is None
+        assert ExactSimplex(sys_).intervals() is None
+        assert fresh_interval(sys_, 1) is None
 
     def test_batch_matches_single(self):
         rng = random.Random(40)
         for _ in range(10):
             sys_ = random_system(rng, rng.randint(2, 5), rng.randint(1, 6))
-            batch = variable_intervals(sys_)
+            batch = ExactSimplex(sys_).intervals()
             for v in range(1, sys_.num_vars + 1):
-                assert (batch is None and variable_interval(sys_, v) is None) or \
-                    batch[v] == variable_interval(sys_, v)
+                assert (batch is None and fresh_interval(sys_, v) is None) or \
+                    batch[v] == fresh_interval(sys_, v)
 
 
 class TestOracleAgreement:
@@ -153,13 +153,9 @@ class TestOracleAgreement:
             n = rng.randint(2, 4)
             sys_ = random_system(rng, n, rng.randint(1, 6))
             obj = {v: Fraction(rng.randint(-3, 3)) for v in range(1, n + 1)}
-            res = solve(LpProblem(sys_, obj, "min"))
-            expect = oracle_minimum(sys_, obj)
-            if expect is None:
-                assert res.status == "infeasible"
-            else:
-                assert res.status == "optimal" and res.value == expect
-                assert satisfies(sys_, res.witness)
+            tab = ExactSimplex(sys_)
+            assert tab.minimize(obj) == oracle_minimum(sys_, obj)
+            assert not tab.feasible() or satisfies(sys_, tab.witness())
             done += 1
 
     def test_vertex_enumeration_n5(self):
@@ -167,12 +163,7 @@ class TestOracleAgreement:
         for _ in range(2):
             sys_ = random_system(rng, 5, 6)
             obj = {v: Fraction(rng.randint(-2, 2)) for v in range(1, 6)}
-            res = solve(LpProblem(sys_, obj, "min"))
-            expect = oracle_minimum(sys_, obj)
-            if expect is None:
-                assert res.status == "infeasible"
-            else:
-                assert res.status == "optimal" and res.value == expect
+            assert ExactSimplex(sys_).minimize(obj) == oracle_minimum(sys_, obj)
 
 
 class TestInvariants:
@@ -187,7 +178,7 @@ class TestInvariants:
                 continue
             done += 1
             sys_ = cnf_to_system(cnf)
-            ivals = variable_intervals(sys_)
+            ivals = ExactSimplex(sys_).intervals()
             for v in range(1, cnf.num_vars + 1):
                 lo, hi = ivals[v]
                 for m in models:
@@ -195,28 +186,31 @@ class TestInvariants:
 
     def test_determinism(self):
         sys_ = eq3_system()
-        results = [solve(LpProblem(sys_, {1: Fraction(1)}, "min"))
-                   for _ in range(3)]
-        assert all(r.value == results[0].value and r.witness == results[0].witness
-                   for r in results)
+        results = []
+        for _ in range(3):
+            tab = ExactSimplex(sys_)
+            results.append((tab.minimize({1: Fraction(1)}), tab.witness()))
+        assert all(r == results[0] for r in results)
 
     def test_boxed_never_unbounded(self):
         rng = random.Random(44)
         for _ in range(20):
             sys_ = random_system(rng, rng.randint(1, 5), rng.randint(1, 6))
-            res = solve(LpProblem(
-                sys_, {1: Fraction(rng.choice([-1, 1]))}, "min"))
-            assert res.status in ("optimal", "infeasible")
+            tab = ExactSimplex(sys_)
+            value = tab.minimize({1: Fraction(rng.choice([-1, 1]))})
+            # None exactly when infeasible; a ray would raise RuntimeError
+            assert (value is None) == (not tab.feasible())
 
     def test_arbitrary_precision_coefficients(self):
         # coefficients beyond the int64 fast path stay exact
         big = 7 ** 30
         sys_ = InequalitySystem(1, [
             BoundedInequality({1: big}, Fraction(1), Fraction(big))])
-        assert variable_interval(sys_, 1) == (Fraction(1, big), Fraction(1))
+        assert fresh_interval(sys_, 1) == (Fraction(1, big), Fraction(1))
+        assert ExactSimplex(sys_).intervals() == {1: (Fraction(1, big), 1)}
         tiny = InequalitySystem(1, [
             BoundedInequality({1: 1}, Fraction(1, big), Fraction(2, 3))])
-        assert variable_interval(tiny, 1) == (Fraction(1, big), Fraction(2, 3))
+        assert fresh_interval(tiny, 1) == (Fraction(1, big), Fraction(2, 3))
 
     def test_degenerate_pivoting_terminates(self):
         rows = [BoundedInequality({1: 1, 2: 1, 3: 1}, Fraction(0), Fraction(1)),
@@ -224,8 +218,7 @@ class TestInvariants:
                 BoundedInequality({2: 1, 3: -1}, Fraction(0), Fraction(0)),
                 BoundedInequality({1: -1, 3: 1}, Fraction(0), Fraction(0))]
         obj = {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}
-        res = solve(LpProblem(InequalitySystem(3, rows), obj, "max"))
-        assert res.status == "optimal" and res.value == 1
+        assert ExactSimplex(InequalitySystem(3, rows)).maximize(obj) == 1
 
     def test_horn_lp_feasible_when_sat(self):
         rng = random.Random(45)
@@ -243,3 +236,10 @@ class TestInvariants:
                     if tab.T[r, c] <= 0)
         with pytest.raises(RuntimeError, match="pivot"):
             tab._pivot(r, c)
+
+    def test_improving_ray_raises(self):
+        # a boxed tableau has no unbounded column; finding one is a bug
+        tab = ExactSimplex(eq3_system())
+        c = next(c for c in range(tab.ncols) if (tab.T[:, c] <= 0).all())
+        with pytest.raises(RuntimeError, match="ray"):
+            tab._ratio_leave(c)
