@@ -14,7 +14,7 @@ from .chains import (ChainSpec, DominantBlockSpec, CoupledFamilySpec,
                      attach_dominant, synthesize, synthesize_fragment_family,
                      capacity, verify_dominance, instance_to_dimacs)
 from .elimination import (EliminationTrace, AggregateInequality,
-                          NumberSystemReport, fm_eliminate, fm_project,
+                          NumberSystemReport, fm_project,
                           chain_aggregate, decompose_base_b, digits_match,
                           max_exponent, number_system_report, integral_tighten)
 from .simplex import ExactSimplex

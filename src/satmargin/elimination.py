@@ -17,13 +17,14 @@ normalized by the gcd of its coefficients.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .chains import SynthesizedInstance
 from .reduction import (BoundedInequality, InequalitySystem,
-                        clause_to_inequality)
+                        clause_to_inequality, format_terms)
 
 
 class RowBlowupError(RuntimeError):
@@ -73,18 +74,13 @@ class EliminationTrace:
             if rid in derived:
                 continue
             coeffs, bound = self.rows[rid]
-            lines.append(f"row{rid} := {_terms(coeffs)} >= {bound}")
+            lines.append(f"row{rid} := {format_terms(coeffs)} >= {bound}")
         for step in self.steps:
             for c in step.combinations:
                 lines.append(
                     f"step x{step.var}: row{c.lower_id} * {c.mult_lower} + "
                     f"row{c.upper_id} * {c.mult_upper} -> row{c.new_id}")
         return "\n".join(lines) + "\n"
-
-
-def _terms(coeffs: dict[int, int]) -> str:
-    from .reduction import format_terms
-    return format_terms(coeffs)
 
 
 class _Workspace:
@@ -106,7 +102,7 @@ class _Workspace:
     def _new_id(self, coeffs, bound) -> int:
         rid = self._next_id
         self._next_id += 1
-        self.trace.rows[rid] = (dict(coeffs), bound)
+        self.trace.rows[rid] = (coeffs, bound)
         return rid
 
     def _add_source(self, coeffs, bound):
@@ -259,19 +255,6 @@ def rows_to_system(num_vars: int,
     return InequalitySystem(num_vars, out, box=True)
 
 
-def fm_eliminate(system: InequalitySystem, var: int,
-                 max_rows: int = 100_000) -> tuple[InequalitySystem, EliminationStep]:
-    """Eliminate one variable exactly; a variable absent from every row is a
-    no-op step that returns the system unchanged."""
-    if not 1 <= var <= system.num_vars:
-        raise ValueError(f"x{var} out of range")
-    if not any(var in row.coeffs for row in system.rows):
-        return system, EliminationStep(var)
-    ws = _Workspace(system, max_rows)
-    step = ws.eliminate(var, 0)
-    return ws.to_system(), step
-
-
 def fm_project(system: InequalitySystem, keep, order: str = "greedy",
                max_rows: int = 100_000,
                lp_redundancy: bool = False) -> tuple[InequalitySystem, EliminationTrace]:
@@ -302,13 +285,13 @@ def fm_project(system: InequalitySystem, keep, order: str = "greedy",
         if order == "given":
             var = remaining.pop(0)
         elif order == "greedy":
-            def cost(v):
-                lo = sum(1 for coeffs, _ in ws.rows.values() if coeffs.get(v, 0) > 0)
-                hi = sum(1 for coeffs, _ in ws.rows.values() if coeffs.get(v, 0) < 0)
-                if lo == hi == 0:
-                    return (-1, v)
-                return ((lo + 1) * (hi + 1), v)
-            var = min(remaining, key=cost)
+            lo, hi = Counter(), Counter()  # rows bounding v from below/above
+            for coeffs, _ in ws.rows.values():
+                for v, c in coeffs.items():
+                    (lo if c > 0 else hi)[v] += 1
+            # absent variables cost -1 and go first; ties break on the index
+            var = min(remaining, key=lambda v: (
+                (lo[v] + 1) * (hi[v] + 1) if v in lo or v in hi else -1, v))
             remaining.remove(var)
         else:
             raise ValueError(f"unknown order policy {order!r}")

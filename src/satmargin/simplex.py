@@ -5,8 +5,11 @@ The tableau is kept as an integer matrix T with a single positive
 denominator D (fraction-free Gauss-Jordan pivoting), so every tableau value
 is exactly T[i][j] / D; no floating point is involved anywhere.  Bland's
 smallest-index rule makes the method anti-cycling and deterministic.
-Infeasibility is handled with artificial variables under a symbolic big-M
-penalty, carried as a second (lexicographically senior) objective row.
+The objective is the tableau's last row, so every pivot updates it along
+with the constraint rows.  Two phases: phase 1 minimizes the total of the
+artificial variables, and then freezes a mask of the columns whose phase-1
+reduced cost is zero; only those columns may enter for any later objective,
+which keeps the artificials at 0.
 
 Only boxed systems are accepted.  The box rows x_i <= 1 bound the variables,
 and each slack and artificial is affine in them, so every tableau column is
@@ -69,9 +72,8 @@ class ExactSimplex:
             entries.append(abs(Fraction(b).numerator))
             biggest = max(biggest, max(entries, default=0))
         dtype = object if biggest >= _INT64_SAFE else np.int64
-        T = np.zeros((m, ncols + 1), dtype=dtype)
+        T = np.zeros((m + 1, ncols + 1), dtype=dtype)  # row m: objective
         basis = [0] * m
-        art_cols = []
         next_art = n + m
         for i, (coeffs, b) in enumerate(raw_rows):
             den = Fraction(b).denominator   # scale the row to integers
@@ -83,7 +85,6 @@ class ExactSimplex:
             T[i, ncols] = sign * bi
             if sign < 0:
                 T[i, next_art] = 1
-                art_cols.append(next_art)
                 basis[i] = next_art
                 next_art += 1
             else:
@@ -94,31 +95,24 @@ class ExactSimplex:
         self.T = T
         self.D = 1
         self.basis = basis
-        # Senior objective row: minimize the artificial total (big-M part).
-        c1 = np.zeros(ncols + 1, dtype=np.int64)
-        for j in art_cols:
-            c1[j] = 1
-        self.Z1 = self._fresh_zrow(c1)
-        self.Z0 = np.zeros(ncols + 1, dtype=np.int64)
+        # Phase 1 minimizes the artificial total; the artificials are the
+        # last n_art columns.
+        cost = np.zeros(ncols + 1, dtype=np.int64)
+        cost[n + m:ncols] = 1
+        self._set_objective(cost)
+        self._eligible = np.ones(ncols, dtype=bool)
         self._feasible: bool | None = None
 
     # -- tableau mechanics -------------------------------------------------
 
-    def _fresh_zrow(self, cost: np.ndarray):
-        """D-scaled reduced-cost row  Z[j] = sum_i c[basis_i] T[i,j] - D c[j]."""
+    def _set_objective(self, cost: np.ndarray):
+        """Row m := D-scaled reduced costs  sum_i c[basis_i] T[i,j] - D c[j]."""
         # plain-int elements in the object path: np.int64 scalars would
         # overflow when multiplied into arbitrary-precision tableau entries
         cb = np.array([int(cost[b]) for b in self.basis], dtype=self.T.dtype)
         # np.dot (unlike @) also handles object-dtype tableaux
-        z = np.dot(cb, self.T) - self.D * cost.astype(self.T.dtype)
-        return z
-
-    def _promote(self):
-        if self.T.dtype == object:
-            return
-        self.T = self.T.astype(object)
-        self.Z0 = self.Z0.astype(object)
-        self.Z1 = self.Z1.astype(object)
+        self.T[self.m] = (np.dot(cb, self.T[:self.m])
+                          - self.D * cost.astype(self.T.dtype))
 
     def _pivot(self, r: int, c: int):
         T = self.T
@@ -126,27 +120,17 @@ class ExactSimplex:
         if not piv > 0:
             raise RuntimeError(
                 f"simplex invariant broken: pivot T[{r},{c}] = {piv} is not positive")
-        if T.dtype != object:
-            hi = max(int(np.abs(T).max()), int(np.abs(self.Z0).max()),
-                     int(np.abs(self.Z1).max()))
-            if hi >= _INT64_SAFE:
-                self._promote()
-                T = self.T
-                piv = T[r, c]
+        if T.dtype != object and int(np.abs(T).max()) >= _INT64_SAFE:
+            T = self.T = T.astype(object)
+            piv = T[r, c]
         col = T[:, c].copy()
         rowr = T[r].copy()
         T *= piv
         T -= np.outer(col, rowr)
         T //= self.D
         T[r] = rowr
-        for z in (self.Z0, self.Z1):
-            zc = z[c]
-            z *= piv
-            z -= zc * rowr
-            z //= self.D
         self.D = int(piv)
         self.basis[r] = c
-        self.T = T
 
     def _ratio_leave(self, e: int) -> int:
         """Bland leaving row for entering column e."""
@@ -175,27 +159,28 @@ class ExactSimplex:
         return best_row
 
     def _optimize_current(self):
-        """Run lexicographic (big-M) Bland simplex to optimality."""
+        """Bland simplex on row m to optimality: enter the smallest eligible
+        column with a positive reduced cost."""
         while True:
-            enter = None
-            Z1, Z0 = self.Z1, self.Z0
-            for j in range(self.ncols):
-                z1 = Z1[j]
-                if z1 > 0 or (z1 == 0 and Z0[j] > 0):
-                    enter = j
-                    break
-            if enter is None:
+            enter = np.flatnonzero(self._eligible
+                                   & (self.T[self.m, :self.ncols] > 0))
+            if not enter.size:
                 return
-            self._pivot(self._ratio_leave(enter), enter)
+            c = int(enter[0])
+            self._pivot(self._ratio_leave(c), c)
 
     # -- public interface --------------------------------------------------
 
     def feasible(self) -> bool:
         """Phase 1, run once: is the system's rational relaxation nonempty?"""
         if self._feasible is None:
-            self.Z0 = np.zeros(self.ncols + 1, dtype=self.T.dtype)
             self._optimize_current()
-            self._feasible = bool(self.Z1[self.ncols] == 0)
+            z = self.T[self.m]
+            self._feasible = bool(z[self.ncols] == 0)
+            # Freeze the columns with zero phase-1 reduced cost.  A pivot on
+            # one would only rescale the phase-1 row by piv/D > 0, so the
+            # mask stays exact once later objectives replace that row.
+            self._eligible = z[:self.ncols] == 0
         return self._feasible
 
     def minimize(self, objective: dict[int, Fraction]) -> Fraction | None:
@@ -205,19 +190,19 @@ class ExactSimplex:
             return None
         scale = lcm(*(Fraction(c).denominator for c in objective.values())) \
             if objective else 1
-        c0 = np.zeros(self.ncols + 1, dtype=self.T.dtype)
+        # object dtype: a coefficient beyond int64 must reach the guard below
+        cost = np.zeros(self.ncols + 1, dtype=object)
         for v, coeff in objective.items():
             if not 1 <= v <= self.n:
                 raise ValueError(f"objective references x{v} outside 1..{self.n}")
-            c0[v - 1] = int(Fraction(coeff) * scale)
-        if self.T.dtype != object and np.abs(c0).max(initial=0) >= _INT64_SAFE:
-            self._promote()
-            c0 = c0.astype(object)
-        self.Z0 = self._fresh_zrow(c0)
-        # phase 1 left the artificials at 0 and only columns with a zero
-        # senior cost enter from here on, so they stay at 0
+            cost[v - 1] = int(Fraction(coeff) * scale)
+        if self.T.dtype != object and np.abs(cost).max(initial=0) >= _INT64_SAFE:
+            self.T = self.T.astype(object)
+        self._set_objective(cost)
+        # phase 1 left the artificials at 0 and only eligible columns enter,
+        # so they stay at 0
         self._optimize_current()
-        return Fraction(int(self.Z0[self.ncols]), self.D * scale)
+        return Fraction(int(self.T[self.m, self.ncols]), self.D * scale)
 
     def maximize(self, objective: dict[int, Fraction]) -> Fraction | None:
         """Exact maximum, or None when the system is infeasible."""

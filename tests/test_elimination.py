@@ -8,7 +8,7 @@ from satmargin.chains import CoupledFamilySpec, synthesize, \
     synthesize_fragment_family
 from satmargin.elimination import (
     AggregationError, RowBlowupError, chain_aggregate, chain_weights,
-    decompose_base_b, digits_match, fm_eliminate, fm_project,
+    decompose_base_b, digits_match, fm_project,
     integral_tighten, max_exponent, number_system_report,
 )
 from satmargin.reduction import (BoundedInequality, InequalitySystem,
@@ -28,13 +28,16 @@ def two_sided(coeffs, lower, upper):
 
 
 class TestFmEliminate:
+    """One variable eliminated: fm_project keeping all the others."""
+
     def test_pairwise_combination(self):
         # x2+x3 >= 1 and -x2+x4 >= 0 combine to x3+x4 >= 1
         sys_ = InequalitySystem(4, [
             two_sided({2: 1, 3: 1}, 1, 2),
             two_sided({2: -1, 4: 1}, 0, 1),
         ])
-        projected, step = fm_eliminate(sys_, 2)
+        projected, trace = fm_project(sys_, {1, 3, 4})
+        (step,) = trace.steps
         assert step.var == 2
         keys = {row.key(): (row.lower, row.upper) for row in projected.rows}
         assert ((3, 1), (4, 1)) in keys
@@ -42,7 +45,8 @@ class TestFmEliminate:
         assert lo == 1
 
     def test_eliminated_variable_gone(self):
-        projected, step = fm_eliminate(eq3_system(), 1)
+        projected, trace = fm_project(eq3_system(), {2, 3, 4})
+        (step,) = trace.steps
         assert step.var == 1
         assert all(1 not in row.coeffs for row in projected.rows)
         # the surviving constraint set is x2 + x3 >= 1 (everything else
@@ -51,22 +55,14 @@ class TestFmEliminate:
 
     def test_absent_variable_noop(self):
         sys2 = InequalitySystem(3, [two_sided({1: 1}, 0, 1)])
-        projected2, step2 = fm_eliminate(sys2, 3)
+        _, trace = fm_project(sys2, {1, 2})
+        (step2,) = trace.steps
+        assert step2.var == 3
         assert step2.combinations == []
-        assert projected2 is sys2
-
-    def test_contradiction_surfaces(self):
-        sys_ = InequalitySystem(1, [
-            two_sided({1: 1}, 1, 1),
-            two_sided({1: -1}, 0, 0),
-        ])
-        projected, _ = fm_eliminate(sys_, 1)
-        assert any(not row.coeffs and row.lower > row.upper
-                   for row in projected.rows)
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            fm_eliminate(eq3_system(), 9)
+            fm_project(eq3_system(), {9})
 
 
 class TestFmProject:
@@ -94,6 +90,18 @@ class TestFmProject:
         projected, _ = fm_project(sys_, {2})
         assert any(not row.coeffs and row.lower > row.upper
                    for row in projected.rows)
+
+    def test_greedy_order_pinned(self):
+        # the greedy cost is (lower rows + 1) * (upper rows + 1), absent
+        # variables first, ties on the smaller index
+        _, trace = fm_project(eq3_system(), {1})
+        assert [s.var for s in trace.steps] == [3, 4, 2]
+        inst = synthesize_fragment_family("horn-coupler", e=4, c=2, b=2, d=2,
+                                          seed=7)
+        assert inst.candidate_vars == [12, 13]
+        _, trace = fm_project(cnf_to_system(inst.cnf), {12, 13})
+        assert [s.var for s in trace.steps] == [1, 2, 3, 4, 9, 5, 6, 10,
+                                                7, 8, 11]
 
     def test_order_policies_agree(self):
         rng = random.Random(51)

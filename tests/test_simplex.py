@@ -211,6 +211,9 @@ class TestInvariants:
         tiny = InequalitySystem(1, [
             BoundedInequality({1: 1}, Fraction(1, big), Fraction(2, 3))])
         assert fresh_interval(tiny, 1) == (Fraction(1, big), Fraction(2, 3))
+        # an objective coefficient beyond int64 promotes an int64 tableau
+        assert ExactSimplex(eq3_system()).minimize({1: big ** 2}) \
+            == Fraction(big ** 2, 3)
 
     def test_degenerate_pivoting_terminates(self):
         rows = [BoundedInequality({1: 1, 2: 1, 3: 1}, Fraction(0), Fraction(1)),
@@ -240,6 +243,7 @@ class TestInvariants:
     def test_improving_ray_raises(self):
         # a boxed tableau has no unbounded column; finding one is a bug
         tab = ExactSimplex(eq3_system())
-        c = next(c for c in range(tab.ncols) if (tab.T[:, c] <= 0).all())
+        c = next(c for c in range(tab.ncols)
+                 if (tab.T[:tab.m, c] <= 0).all())
         with pytest.raises(RuntimeError, match="ray"):
             tab._ratio_leave(c)
