@@ -20,11 +20,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 from .chains import SynthesizedInstance
 from .reduction import (BoundedInequality, InequalitySystem,
                         clause_to_inequality, format_terms)
+from .simplex import ExactSimplex
 
 
 class RowBlowupError(RuntimeError):
@@ -61,7 +62,6 @@ class EliminationStep:
 class EliminationTrace:
     # every one-sided row ever seen: id -> (coeffs, bound) meaning sum >= bound
     rows: dict[int, tuple[dict[int, int], Fraction]] = field(default_factory=dict)
-    source_ids: list[int] = field(default_factory=list)
     steps: list[EliminationStep] = field(default_factory=list)
     final_system: InequalitySystem | None = None
 
@@ -95,9 +95,10 @@ class _Workspace:
         self._next_id = 0
         self.rows: dict[int, tuple[dict[int, int], Fraction]] = {}
         for row in system.rows:
-            self._add_source(dict(row.coeffs), Fraction(row.lower))
-            self._add_source({v: -c for v, c in row.coeffs.items()},
-                             -Fraction(row.upper))
+            for coeffs, bound in ((dict(row.coeffs), Fraction(row.lower)),
+                                  ({v: -c for v, c in row.coeffs.items()},
+                                   -Fraction(row.upper))):
+                self.rows[self._new_id(coeffs, bound)] = (coeffs, bound)
 
     def _new_id(self, coeffs, bound) -> int:
         rid = self._next_id
@@ -105,50 +106,32 @@ class _Workspace:
         self.trace.rows[rid] = (coeffs, bound)
         return rid
 
-    def _add_source(self, coeffs, bound):
-        rid = self._new_id(coeffs, bound)
-        self.trace.source_ids.append(rid)
-        self.rows[rid] = (coeffs, bound)
-
-    def support(self, var: int) -> bool:
-        return any(var in coeffs for coeffs, _ in self.rows.values())
-
     def eliminate(self, var: int, step_index: int) -> EliminationStep:
         step = EliminationStep(var)
-        if not self.support(var):
-            self.trace.steps.append(step)
-            return step
-        lowers = []   # positive coefficient on var
-        uppers = []   # negative coefficient on var
-        keep = {}
+        lowers = []   # (rid, coeffs, bound) with a positive coefficient on var
+        uppers = []   # ... and with a negative one
+        # rows without var: the tightest per coefficient vector, first among equals
+        merged: dict[tuple, tuple[dict, Fraction, int]] = {}
         for rid, (coeffs, bound) in self.rows.items():
             cv = coeffs.get(var, 0)
-            if cv > 0:
-                lowers.append(rid)
-            elif cv < 0:
-                uppers.append(rid)
-            else:
-                keep[rid] = (coeffs, bound)
-        # the box contributes x_var >= 0 and -x_var >= -1
-        box_lo = self._new_id({var: 1}, Fraction(0))
-        self.rows[box_lo] = ({var: 1}, Fraction(0))
-        lowers.append(box_lo)
-        box_hi = self._new_id({var: -1}, Fraction(-1))
-        self.rows[box_hi] = ({var: -1}, Fraction(-1))
-        uppers.append(box_hi)
-
-        merged: dict[tuple, tuple[dict, Fraction, int]] = {}
-        for rid, (coeffs, bound) in keep.items():
+            if cv:
+                (lowers if cv > 0 else uppers).append((rid, coeffs, bound))
+                continue
             k = tuple(sorted(coeffs.items()))
             cur = merged.get(k)
             if cur is None or bound > cur[1]:
                 merged[k] = (coeffs, bound, rid)
+        if not (lowers or uppers):
+            self.trace.steps.append(step)
+            return step
+        # the box contributes x_var >= 0 and -x_var >= -1
+        for side, coeffs, bound in ((lowers, {var: 1}, Fraction(0)),
+                                    (uppers, {var: -1}, Fraction(-1))):
+            side.append((self._new_id(coeffs, bound), coeffs, bound))
 
-        for lo_id in lowers:
-            lo_coeffs, lo_bound = self.rows[lo_id]
+        for lo_id, lo_coeffs, lo_bound in lowers:
             a = lo_coeffs[var]
-            for hi_id in uppers:
-                hi_coeffs, hi_bound = self.rows[hi_id]
+            for hi_id, hi_coeffs, hi_bound in uppers:
                 b = -hi_coeffs[var]
                 g0 = gcd(a, b)
                 m_lo, m_hi = b // g0, a // g0
@@ -164,9 +147,7 @@ class _Workspace:
                 bound = m_lo * lo_bound + m_hi * hi_bound
                 mult_lo, mult_hi = Fraction(m_lo), Fraction(m_hi)
                 if coeffs:
-                    g = 0
-                    for c in coeffs.values():
-                        g = gcd(g, abs(c))
+                    g = gcd(*coeffs.values())
                     if g > 1:
                         coeffs = {v: c // g for v, c in coeffs.items()}
                         bound = bound / g
@@ -200,7 +181,6 @@ class _Workspace:
         One exact LP per row, so this is opt-in.  A row whose removal makes
         the rest infeasible is conservatively kept (the certificate must
         survive)."""
-        from .simplex import ExactSimplex  # local import: simplex sits above
         for rid in sorted(self.rows):
             coeffs, bound = self.rows[rid]
             others = [self.rows[r] for r in self.rows if r != rid]
@@ -220,36 +200,22 @@ def rows_to_system(num_vars: int,
     """Merge one-sided >= rows back into two-sided rows.  A missing side is
     completed with the bound the 0/1 box implies; a positive constant row
     with empty support becomes the infeasibility certificate [bound, 0]."""
-    by_key: dict[tuple, dict[str, Fraction]] = {}
+    bounds: dict[tuple, list] = {}  # sign-normalised key -> [lower, upper]
     for coeffs, bound in rows:
-        if not coeffs:
-            if bound > 0:
-                by_key.setdefault((), {})
-                cur = by_key[()].get("lower")
-                if cur is None or bound > cur:
-                    by_key[()]["lower"] = bound
-            continue
         items = tuple(sorted(coeffs.items()))
-        first_coeff = items[0][1]
-        if first_coeff > 0:
-            key, side, value = items, "lower", bound
-        else:
-            key = tuple((v, -c) for v, c in items)
-            side, value = "upper", -bound
-        entry = by_key.setdefault(key, {})
-        if side == "lower":
-            if "lower" not in entry or value > entry["lower"]:
-                entry["lower"] = value
-        else:
-            if "upper" not in entry or value < entry["upper"]:
-                entry["upper"] = value
+        if items and items[0][1] < 0:  # -key >= bound reads key <= -bound
+            pair = bounds.setdefault(tuple((v, -c) for v, c in items), [None, None])
+            pair[1] = -bound if pair[1] is None else min(pair[1], -bound)
+        elif items or bound > 0:  # 0 >= a nonpositive bound always holds
+            pair = bounds.setdefault(items, [None, None])
+            pair[0] = bound if pair[0] is None else max(pair[0], bound)
     out = []
-    for key, entry in by_key.items():
+    for key, (lower, upper) in bounds.items():
         coeffs = dict(key)
-        box_min = Fraction(sum(c for c in coeffs.values() if c < 0))
-        box_max = Fraction(sum(c for c in coeffs.values() if c > 0))
-        lower = entry.get("lower", box_min)
-        upper = entry.get("upper", box_max)
+        if lower is None:
+            lower = Fraction(sum(c for c in coeffs.values() if c < 0))
+        if upper is None:
+            upper = Fraction(sum(c for c in coeffs.values() if c > 0))
         out.append(BoundedInequality(coeffs, lower, upper))
     out.sort(key=lambda r: r.key())
     return InequalitySystem(num_vars, out, box=True)
@@ -312,19 +278,15 @@ def integral_tighten(system: InequalitySystem) -> InequalitySystem:
     Valid over 0/1 (integral) points only; the rational relaxation shrinks.
     Never applied implicitly anywhere in this package.
     """
-    import math
     out = []
     for row in system.rows:
         if not row.coeffs:
             out.append(BoundedInequality({}, row.lower, row.upper))
             continue
-        g = 0
-        for c in row.coeffs.values():
-            g = gcd(g, abs(c))
+        g = gcd(*row.coeffs.values())
         coeffs = {v: c // g for v, c in row.coeffs.items()}
         out.append(BoundedInequality(
-            coeffs, Fraction(math.ceil(row.lower / g)),
-            Fraction(math.floor(row.upper / g))))
+            coeffs, Fraction(ceil(row.lower / g)), Fraction(floor(row.upper / g))))
     return InequalitySystem(system.num_vars, out, system.box)
 
 

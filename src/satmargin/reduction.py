@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cnf import CNF, Clause, OR, BruteForceCapError, BRUTE_FORCE_CAP
+from .cnf import (CNF, Clause, OR, BruteForceCapError, BRUTE_FORCE_CAP,
+                  all_assignments)
 
 RationalPoint = tuple  # tuple of Fraction, length num_vars
 
@@ -117,7 +118,6 @@ def integral_points(system: InequalitySystem,
     if system.rows and coeff_limit * n < 2 ** 40 and bound_limit < 2 ** 60:
         return _integral_points_vectorized(system, los, his)
     points = []
-    from .cnf import all_assignments
     for a in all_assignments(n):
         if all(lo <= sum(c * a[v - 1] for v, c in row.coeffs.items()) <= hi
                for row, lo, hi in zip(system.rows, los, his)):

@@ -4,7 +4,9 @@ simplex.
 The tableau is kept as an integer matrix T with a single positive
 denominator D (fraction-free Gauss-Jordan pivoting), so every tableau value
 is exactly T[i][j] / D; no floating point is involved anywhere.  Bland's
-smallest-index rule makes the method anti-cycling and deterministic.
+smallest-index rule makes the method anti-cycling and deterministic; its
+ratio test is one exact minimum over the rows that a mask of the entering
+column selects, with ties broken on the basic variable.
 The objective is the tableau's last row, so every pivot updates it along
 with the constraint rows.  Two phases: phase 1 minimizes the total of the
 artificial variables, and then freezes a mask of the columns whose phase-1
@@ -48,47 +50,35 @@ class ExactSimplex:
             raise ValueError("the simplex operates on boxed systems")
         self.n = n = system.num_vars
 
-        # Assemble rows  a . x <= b  (integer a, b after per-row scaling).
-        raw_rows: list[tuple[dict[int, int], Fraction]] = []
+        # Rows  a . x <= b, each side scaled to integers once; the sides the
+        # box implies are redundant and stay out of the tableau.
+        rows: list[tuple[dict[int, int], int]] = []
         for row in system.rows:
             mx = sum(c for c in row.coeffs.values() if c > 0)
             mn = sum(c for c in row.coeffs.values() if c < 0)
-            # Box-implied sides are redundant; keep them out of the tableau.
-            if row.upper < mx:
-                raw_rows.append((dict(row.coeffs), row.upper))
-            if row.lower > mn:
-                raw_rows.append(({v: -c for v, c in row.coeffs.items()},
-                                 -row.lower))
-        for v in range(1, n + 1):
-            raw_rows.append(({v: 1}, Fraction(1)))
+            for sign, b, implied in ((1, row.upper, mx), (-1, -row.lower, -mn)):
+                if b < implied:
+                    rows.append(({v: sign * c * b.denominator
+                                  for v, c in row.coeffs.items()}, b.numerator))
+        rows += [({v: 1}, 1) for v in range(1, n + 1)]
 
-        m = len(raw_rows)
-        n_art = sum(1 for _, b in raw_rows if b < 0)
+        m = len(rows)
+        n_art = sum(1 for _, b in rows if b < 0)
         ncols = n + m + n_art
-        biggest = 0
-        for coeffs, b in raw_rows:
-            den = Fraction(b).denominator
-            entries = [abs(c) * den for c in coeffs.values()]
-            entries.append(abs(Fraction(b).numerator))
-            biggest = max(biggest, max(entries, default=0))
+        biggest = max((abs(x) for a, b in rows for x in (*a.values(), b)),
+                      default=0)
         dtype = object if biggest >= _INT64_SAFE else np.int64
         T = np.zeros((m + 1, ncols + 1), dtype=dtype)  # row m: objective
-        basis = [0] * m
-        next_art = n + m
-        for i, (coeffs, b) in enumerate(raw_rows):
-            den = Fraction(b).denominator   # scale the row to integers
-            bi = Fraction(b).numerator
-            sign = -1 if bi < 0 else 1      # negative rhs rows get artificials
-            for v, c in coeffs.items():
-                T[i, v - 1] = sign * c * den
+        basis = []
+        arts = iter(range(n + m, ncols))
+        for i, (a, b) in enumerate(rows):
+            sign = -1 if b < 0 else 1  # negative rhs rows get artificials
+            for v, c in a.items():
+                T[i, v - 1] = sign * c
             T[i, n + i] = sign  # slack
-            T[i, ncols] = sign * bi
-            if sign < 0:
-                T[i, next_art] = 1
-                basis[i] = next_art
-                next_art += 1
-            else:
-                basis[i] = n + i
+            T[i, ncols] = sign * b
+            basis.append(n + i if sign > 0 else next(arts))  # slack or artificial
+            T[i, basis[i]] = 1
 
         self.m = m
         self.ncols = ncols
@@ -109,9 +99,14 @@ class ExactSimplex:
         """Row m := D-scaled reduced costs  sum_i c[basis_i] T[i,j] - D c[j]."""
         # plain-int elements in the object path: np.int64 scalars would
         # overflow when multiplied into arbitrary-precision tableau entries
-        cb = np.array([int(cost[b]) for b in self.basis], dtype=self.T.dtype)
+        cb = [int(cost[b]) for b in self.basis]
+        # every term and partial sum of row m stays within this bound
+        if self.T.dtype != object and (
+                sum(map(abs, cb)) * int(np.abs(self.T[:self.m]).max(initial=0))
+                + self.D * int(np.abs(cost).max(initial=0)) >= 1 << 62):
+            self.T = self.T.astype(object)
         # np.dot (unlike @) also handles object-dtype tableaux
-        self.T[self.m] = (np.dot(cb, self.T[:self.m])
+        self.T[self.m] = (np.dot(np.array(cb, dtype=self.T.dtype), self.T[:self.m])
                           - self.D * cost.astype(self.T.dtype))
 
     def _pivot(self, r: int, c: int):
@@ -133,30 +128,22 @@ class ExactSimplex:
         self.basis[r] = c
 
     def _ratio_leave(self, e: int) -> int:
-        """Bland leaving row for entering column e."""
-        T = self.T
-        best = None  # (num, den, basis var)
-        best_row = None
-        rhs = self.ncols
-        for i in range(self.m):
-            a = T[i, e]
-            if a <= 0:
-                continue
-            num, den = T[i, rhs], a
-            if best is None:
-                better = True
-            else:
-                lhs = int(num) * int(best[1])
-                rhsv = int(best[0]) * int(den)
-                better = lhs < rhsv or (lhs == rhsv and self.basis[i] < best[2])
-            if better:
-                best = (int(num), int(den), self.basis[i])
-                best_row = i
-        if best_row is None:
+        """Bland leaving row for entering column e: among the rows with
+        T[i, e] > 0, the least ratio rhs / T[i, e], ties to the smallest
+        basic variable; ratios are compared exactly, as python ints."""
+        col = self.T[:self.m, e]
+        rows = np.flatnonzero(col > 0)
+        if not rows.size:
             raise RuntimeError(
                 f"simplex invariant broken: column {e} is an improving ray, "
                 "but every column of a boxed tableau is bounded")
-        return best_row
+        nums, dens = self.T[rows, self.ncols].tolist(), col[rows].tolist()
+        best = 0
+        for k in range(1, len(nums)):  # cross-multiplied, so no division
+            if (nums[k] * dens[best], self.basis[rows[k]]) < \
+                    (nums[best] * dens[k], self.basis[rows[best]]):
+                best = k
+        return int(rows[best])
 
     def _optimize_current(self):
         """Bland simplex on row m to optimality: enter the smallest eligible

@@ -182,6 +182,13 @@ class TestSolveHorn:
         code, out, _ = run(capsys, "solve-horn", str(path))
         assert code == 0 and out.strip() == "reject"
 
+    def test_zero_variables(self, capsys, tmp_path):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 0 0\n")
+        code, out, _ = run(capsys, "solve-horn", str(path))
+        assert code == 0
+        assert out == "accept\nv  0\n"
+
     def test_non_horn_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 2 1\n1 2 0\n")

@@ -139,11 +139,36 @@ class TestFmProject:
                 assert comb.mult_lower * lo_b + comb.mult_upper * hi_b == new_b
 
     def test_trace_text_format(self):
+        # pins the order ids are given out in: source rows, then each step's
+        # two box rows before its combinations
         _, trace = fm_project(eq3_system(), {1})
-        text = trace.to_text()
-        assert "step x" in text
-        for line in text.splitlines():
-            assert line.startswith("row") or line.startswith("step x")
+        assert trace.to_text() == """\
+row0 := x1 - x2 - x4 >= -1
+row1 := -x1 + x2 + x4 >= -1
+row2 := x1 - x3 >= 0
+row3 := -x1 + x3 >= -1
+row4 := x2 + x3 >= 1
+row5 := -x2 - x3 >= -2
+row6 := -x2 + x4 >= 0
+row7 := x2 - x4 >= -1
+row8 := x3 >= 0
+row9 := -x3 >= -1
+row11 := x4 >= 0
+row12 := -x4 >= -1
+row14 := x2 >= 0
+row15 := -x2 >= -1
+step x3: row4 * 1 + row2 * 1 -> row10
+step x4: row6 * 1 + row0 * 1 -> row13
+step x2: row10 * 2/3 + row13 * 1/3 -> row16
+"""
+
+    def test_equal_rows_keep_the_first(self):
+        # rows 0 and 4 are equal and lack x2; after x2 goes, row 0 survives
+        dup = two_sided({1: 1, 3: -1}, Fraction(1, 2), 1)
+        sys_ = InequalitySystem(3, [dup, two_sided({2: 1}, Fraction(1, 2), 1), dup])
+        _, trace = fm_project(sys_, {1}, order="given")
+        assert trace.to_text().splitlines()[-1] == \
+            "step x3: row8 * 1 + row0 * 1 -> row10"
 
     def test_lp_redundancy_prunes_joint_implications(self):
         # after eliminating x3, the derived row x1+x2 >= 1 is implied by the

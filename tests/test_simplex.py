@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from satmargin.cnf import CNF, parse_dimacs, brute_force_models
@@ -127,6 +128,13 @@ class TestVariableInterval:
     def test_empty_system(self):
         assert ExactSimplex(InequalitySystem(1, [])).intervals() == {1: (0, 1)}
 
+    def test_zero_variables(self):
+        # a DIMACS "p cnf 0 0" reaches the simplex as this system
+        tab = ExactSimplex(InequalitySystem(0, []))
+        assert tab.feasible()
+        assert tab.minimize({}) == 0
+        assert tab.intervals() == {}
+
     def test_infeasible_returns_none(self):
         sys_ = InequalitySystem(1, [
             BoundedInequality({1: 1}, Fraction(1), Fraction(1)),
@@ -214,6 +222,36 @@ class TestInvariants:
         # an objective coefficient beyond int64 promotes an int64 tableau
         assert ExactSimplex(eq3_system()).minimize({1: big ** 2}) \
             == Fraction(big ** 2, 3)
+
+    def test_objective_row_overflow_promotes(self):
+        # phase 1 leaves an entry of about 2**57 in an int64 tableau; the
+        # new objective row's dot product could pass 2**63, so it promotes
+        sys_ = InequalitySystem(2, [
+            BoundedInequality({1: -345831701, 2: 325370344},
+                              Fraction(162736977), Fraction(540517108)),
+            BoundedInequality({1: -443718039},
+                              Fraction(-117012821), Fraction(121458559))])
+        tab = ExactSimplex(sys_)
+        assert tab.feasible() and tab.T.dtype == np.int64
+        assert int(np.abs(tab.T[:tab.m]).max()) == 144372690988435416
+        assert tab.minimize({1: 2 ** 29 - 1, 2: 2 ** 29 - 1}) \
+            == Fraction(6720673007336619, 25028488)
+        assert tab.T.dtype == object
+
+    def test_bland_tie_break(self):
+        # rows 0 and 2 tie in the ratio test for column 11; Bland's rule
+        # takes the one with the smaller basic variable (1, not 4)
+        sys_ = InequalitySystem(4, [
+            BoundedInequality({1: -1, 2: 2, 3: -1, 4: -1},
+                              Fraction(-1), Fraction(2)),
+            BoundedInequality({2: 2, 3: 2}, Fraction(1), Fraction(2))])
+        tab = ExactSimplex(sys_)
+        assert tab.minimize({1: -1, 2: 1, 3: 2}) == Fraction(-1, 2)
+        T, rhs = tab.T, tab.ncols
+        assert [(i, Fraction(int(T[i, rhs]), int(T[i, 11])), tab.basis[i])
+                for i in range(tab.m) if T[i, 11] > 0] == \
+            [(0, 1, 4), (2, 1, 1)]
+        assert tab._ratio_leave(11) == 2
 
     def test_degenerate_pivoting_terminates(self):
         rows = [BoundedInequality({1: 1, 2: 1, 3: 1}, Fraction(0), Fraction(1)),

@@ -20,3 +20,17 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_imports_at_module_top():
+    # an import inside a function hides a dependency from the module's
+    # header and from anything that rebinds the module's names
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}"
+                  for func in ast.walk(tree)
+                  if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(func)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports inside functions: {found}"
