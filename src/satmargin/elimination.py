@@ -168,9 +168,12 @@ class _Workspace:
                 step.combinations.append(
                     Combination(lo_id, hi_id, mult_lo, mult_hi, rid))
                 merged[k] = (coeffs, bound, rid)
+                # merged only grows, so the step's error is certain already
+                if len(merged) > self.max_rows:
+                    raise RowBlowupError(self.max_rows, var, step_index)
 
         self.rows = {rid: (coeffs, bound) for coeffs, bound, rid in merged.values()}
-        if len(self.rows) > self.max_rows:
+        if len(self.rows) > self.max_rows:  # the kept rows alone
             raise RowBlowupError(self.max_rows, var, step_index)
         self.trace.steps.append(step)
         return step

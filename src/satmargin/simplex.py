@@ -17,9 +17,15 @@ Only boxed systems are accepted.  The box rows x_i <= 1 bound the variables,
 and each slack and artificial is affine in them, so every tableau column is
 bounded and no LP here, phase 1 included, can be unbounded.
 
+A pivot is the Bareiss update T[i] <- (piv*T[i] - T[i,c]*T[r]) / D.  When
+piv == D it leaves every row with T[i,c] == 0 as it is, so such a pivot
+rewrites only the rows with a non-zero in the pivot column, the objective
+row among them; otherwise every row is rescaled.
+
 The integer matrices live in numpy int64 arrays while entries are small and
 are promoted to python-int object arrays before any overflow could occur,
-so results are exact at every size.
+so results are exact at every size.  The guard before a pivot bounds the
+rows that pivot rewrites, all of them when piv != D.
 
 ``ExactSimplex`` is the one way to drive a tableau: ``feasible`` runs
 phase 1 once, then ``minimize``/``maximize`` re-optimize the same warm
@@ -115,14 +121,24 @@ class ExactSimplex:
         if not piv > 0:
             raise RuntimeError(
                 f"simplex invariant broken: pivot T[{r},{c}] = {piv} is not positive")
-        if T.dtype != object and int(np.abs(T).max()) >= _INT64_SAFE:
+        # The division is exact, as every entry is a minor.  With piv == D
+        # only the column's non-zero rows (row r among them) change, so only
+        # they are bounded and rewritten, in a copy; otherwise all of T is,
+        # in place.
+        sparse = piv == self.D
+        rows = np.flatnonzero(T[:, c]) if sparse else slice(None)
+        sub = T[rows]
+        if T.dtype != object and int(np.abs(sub).max()) >= _INT64_SAFE:
             T = self.T = T.astype(object)
+            sub = T[rows]
             piv = T[r, c]
-        col = T[:, c].copy()
+        col = sub[:, c].copy()
         rowr = T[r].copy()
-        T *= piv
-        T -= np.outer(col, rowr)
-        T //= self.D
+        sub *= piv
+        sub -= np.outer(col, rowr)
+        sub //= self.D
+        if sparse:
+            T[rows] = sub
         T[r] = rowr
         self.D = int(piv)
         self.basis[r] = c

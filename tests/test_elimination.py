@@ -7,8 +7,8 @@ from satmargin.cnf import parse_dimacs, brute_force_models
 from satmargin.chains import CoupledFamilySpec, synthesize, \
     synthesize_fragment_family
 from satmargin.elimination import (
-    AggregationError, RowBlowupError, chain_aggregate, chain_weights,
-    decompose_base_b, digits_match, fm_project,
+    AggregationError, RowBlowupError, _Workspace, chain_aggregate,
+    chain_weights, decompose_base_b, digits_match, fm_project,
     integral_tighten, max_exponent, number_system_report,
 )
 from satmargin.reduction import (BoundedInequality, InequalitySystem,
@@ -118,8 +118,22 @@ class TestFmProject:
     def test_blowup_guard(self):
         rng = random.Random(52)
         sys_ = random_system(rng, 8, 12)
-        with pytest.raises(RowBlowupError):
+        with pytest.raises(RowBlowupError) as err:
             fm_project(sys_, {1}, max_rows=2)
+        assert (err.value.var, err.value.step) == (4, 0)
+
+    def test_blowup_raises_inside_the_pair_loop(self):
+        # a step's rows only grow, so the cap is checked after each new row:
+        # the step stops at max_rows + 1 rows instead of finishing its pairs
+        sys_ = random_system(random.Random(52), 8, 12)
+        ws = _Workspace(sys_, max_rows=30)
+        with pytest.raises(RowBlowupError) as err:
+            for step, var in enumerate(range(8, 1, -1)):
+                before = len(ws.trace.rows)
+                ws.eliminate(var, step)
+        assert (err.value.var, err.value.step) == (5, 3)
+        # the step's two box rows, then at most max_rows + 1 new rows
+        assert len(ws.trace.rows) <= before + 2 + 30 + 1
 
     def test_trace_recomputes(self):
         projected, trace = fm_project(eq3_system(), {1, 2})

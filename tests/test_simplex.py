@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from satmargin.reduction import (
 )
 from satmargin.simplex import ExactSimplex
 
-from conftest import EQ1_DIMACS, random_system, random_horn_cnf
+from conftest import EQ1_DIMACS, random_cnf, random_horn_cnf, random_system
 
 
 def eq3_system():
@@ -30,10 +31,11 @@ def fresh_interval(system, var):
 # independent oracle: enumerate all vertices as intersections of n facets
 # ---------------------------------------------------------------------------
 
-def _solve_square(rows, rhs):
-    """Exact Gaussian elimination; None when singular."""
+def _inverse(rows):
+    """Exact inverse of a square matrix by Gauss-Jordan; None when singular."""
     n = len(rows)
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
@@ -45,28 +47,29 @@ def _solve_square(rows, rhs):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    return [row[n:] for row in m]
 
 
 def enumerate_vertices(system: InequalitySystem):
-    """All basic feasible points of a boxed system (brute force)."""
+    """All basic feasible points of a boxed system (brute force): each set of
+    n distinct facet vectors is inverted once, then solved at every choice
+    of right-hand sides.  Two facets on one vector would be singular."""
     n = system.num_vars
-    facets = []
+    facets: dict[tuple, set] = {}  # row or unit vector -> its right-hand sides
     for row in system.rows:
-        vec = [row.coeffs.get(v, 0) for v in range(1, n + 1)]
-        facets.append((vec, row.lower))
-        facets.append((vec, row.upper))
+        vec = tuple(row.coeffs.get(v, 0) for v in range(1, n + 1))
+        facets.setdefault(vec, set()).update((row.lower, row.upper))
     for v in range(n):
-        unit = [0] * n
-        unit[v] = 1
-        facets.append((unit, Fraction(0)))
-        facets.append((unit, Fraction(1)))
-    vertices = set()
-    for combo in itertools.combinations(facets, n):
-        point = _solve_square([f[0] for f in combo], [f[1] for f in combo])
-        if point is not None and satisfies(system, tuple(point)):
-            vertices.add(tuple(point))
-    return vertices
+        unit = tuple(int(k == v) for k in range(n))
+        facets.setdefault(unit, set()).update((Fraction(0), Fraction(1)))
+    points = set()
+    for vecs in itertools.combinations(facets, n):
+        inv = _inverse(vecs)
+        if inv is not None:
+            for rhs in itertools.product(*(facets[vec] for vec in vecs)):
+                points.add(tuple(sum(a * b for a, b in zip(row, rhs))
+                                 for row in inv))
+    return {pt for pt in points if satisfies(system, pt)}
 
 
 def oracle_minimum(system, objective):
@@ -168,10 +171,21 @@ class TestOracleAgreement:
 
     def test_vertex_enumeration_n5(self):
         rng = random.Random(42)
-        for _ in range(2):
+        cases = []
+        for _ in range(2):  # random systems; these two are infeasible
             sys_ = random_system(rng, 5, 6)
-            obj = {v: Fraction(rng.randint(-2, 2)) for v in range(1, 6)}
-            assert ExactSimplex(sys_).minimize(obj) == oracle_minimum(sys_, obj)
+            cases.append((sys_, {v: Fraction(rng.randint(-2, 2))
+                                 for v in range(1, 6)}))
+        while len(cases) < 4:  # satisfiable CNFs, so real optima compare
+            cnf = random_cnf(rng, 5, 6)
+            if brute_force_models(cnf):
+                cases.append((cnf_to_system(cnf), {v: Fraction(rng.randint(-2, 2))
+                                                   for v in range(1, 6)}))
+        optima = []
+        for sys_, obj in cases:
+            optima.append(oracle_minimum(sys_, obj))
+            assert ExactSimplex(sys_).minimize(obj) == optima[-1]
+        assert [opt is None for opt in optima] == [True, True, False, False]
 
 
 class TestInvariants:
@@ -179,7 +193,6 @@ class TestInvariants:
         rng = random.Random(43)
         done = 0
         while done < 25:
-            from conftest import random_cnf
             cnf = random_cnf(rng, rng.randint(1, 7), rng.randint(1, 10))
             models = brute_force_models(cnf)
             if not models:
@@ -285,3 +298,81 @@ class TestInvariants:
                  if (tab.T[:tab.m, c] <= 0).all())
         with pytest.raises(RuntimeError, match="ray"):
             tab._ratio_leave(c)
+
+
+# ---------------------------------------------------------------------------
+# pivots against a dense reference, and the int64 guard of a row-sparse pivot
+# ---------------------------------------------------------------------------
+
+def dense_bareiss(rows, D, r, c):
+    """Reference pivot on python ints: T[i] <- (piv*T[i] - T[i,c]*T[r]) / D
+    for every row but r, each division checked to be exact."""
+    piv, top = rows[r][c], rows[r]
+    out = []
+    for i, row in enumerate(rows):
+        if i == r:
+            out.append(top)
+            continue
+        quot_rems = [divmod(piv * x - row[c] * y, D) for x, y in zip(row, top)]
+        assert all(rem == 0 for _, rem in quot_rems)
+        out.append([q for q, _ in quot_rems])
+    return out, piv
+
+
+# 2**29-scale coefficients: the tableau promotes to object dtype mid-solve
+BIG_SYSTEM = InequalitySystem(2, [
+    BoundedInequality({1: -25377433, 2: 508707755},
+                      Fraction(-201858170), Fraction(213204361)),
+    BoundedInequality({1: 224509738, 2: 116781981},
+                      Fraction(113439365), Fraction(576925975)),
+    BoundedInequality({1: -426614132}, Fraction(-379608811), Fraction(-341677757))])
+
+
+class TestPivot:
+    def test_every_pivot_matches_dense_bareiss(self, monkeypatch):
+        taken = Counter()  # (piv == D, dtype is object) -> pivots
+        real_pivot = ExactSimplex._pivot
+
+        def checked(tab, r, c):
+            want_T, want_D = dense_bareiss(tab.T.tolist(), tab.D, r, c)
+            want_basis = tab.basis[:r] + [c] + tab.basis[r + 1:]
+            branch = bool(tab.T[r, c] == tab.D)
+            real_pivot(tab, r, c)
+            taken[branch, tab.T.dtype == object] += 1
+            assert tab.T.tolist() == want_T
+            assert (tab.D, tab.basis) == (want_D, want_basis)
+
+        monkeypatch.setattr(ExactSimplex, "_pivot", checked)
+        rng = random.Random(46)
+        systems = [cnf_to_system(random_horn_cnf(rng, rng.randint(2, 10),
+                                                 rng.randint(1, 15)))
+                   for _ in range(15)]
+        systems += [random_system(rng, rng.randint(2, 5), rng.randint(1, 6))
+                    for _ in range(15)]
+        for sys_ in systems + [BIG_SYSTEM]:
+            tab = ExactSimplex(sys_)
+            tab.intervals()
+        assert tab.T.dtype == object
+        # both branches, on both dtypes
+        assert set(taken) == {(True, False), (False, False),
+                              (True, True), (False, True)}
+
+    def _pivot_case(self, row, value):
+        # eq3's initial tableau has D = 1, and pivot (4, 0) has piv = 1:
+        # rows 0, 1 and 4 have a non-zero in column 0, row 5 does not
+        tab = ExactSimplex(eq3_system())
+        assert tab.D == tab.T[4, 0] == 1 and tab.T[5, 0] == 0 != tab.T[0, 0]
+        tab.T[row, tab.ncols] = value
+        before = tab.T.tolist()
+        tab._pivot(4, 0)
+        return tab, before
+
+    def test_guard_skips_rows_the_pivot_keeps(self):
+        tab, before = self._pivot_case(5, 2 ** 40)
+        assert tab.T.dtype == np.int64
+        assert tab.T[5].tolist() == before[5]
+
+    def test_guard_promotes_a_rewritten_row(self):
+        tab, before = self._pivot_case(0, 2 ** 40)
+        assert tab.T.dtype == object
+        assert tab.T.tolist() == dense_bareiss(before, 1, 4, 0)[0]
