@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import or_, xor
 
 OR = "or"
 XOR = "xor"
@@ -362,37 +362,78 @@ def _compiled_masks(cnf: CNF, n: int):
     return ors, xors
 
 
-def _parity64(arr: np.ndarray) -> np.ndarray:
-    v = arr.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
+SLICE_BITS = 16
+
+
+def low_columns(n: int) -> tuple[int, int, list[int]]:
+    """Bit-sliced enumeration of the 2^n points of {0,1}^n, 2^L at a time
+    with L = min(n, SLICE_BITS).  Point a is the integer with variable i on
+    bit n - i, so ascending integers are lexicographic tuples.  A chunk
+    holds the 2^L points that share a's bits above L, one python int with
+    point k of the chunk on bit k.  Returns L, the full chunk bitset and,
+    for each low bit p < L, its column: the chunk bitset of the points whose
+    bit p is 1."""
+    low = min(n, SLICE_BITS)
+    full = (1 << (1 << low)) - 1
+    # a block of 2^p zero bits then 2^p one bits, repeated over the chunk
+    return low, full, [(((1 << (1 << p)) - 1) << (1 << p))
+                       * (full // ((1 << (2 << p)) - 1)) for p in range(low)]
+
+
+def sliced_points(n: int, accept) -> list[tuple[int, ...]]:
+    """The points of {0,1}^n, in lexicographic order, that ``accept(high)``
+    admits: it returns the bitset of the chunk whose bits above L are
+    ``high`` (see ``low_columns``)."""
+    low = min(n, SLICE_BITS)
+    shifts = range(n - 1, -1, -1)
+    points = []
+    for high in range(1 << (n - low)):
+        bits = format(accept(high), "b")  # chunk bit k at index top - k
+        top, base = len(bits) - 1, high << low
+        at = bits.rfind("1")
+        while at >= 0:
+            a = base | (top - at)
+            points.append(tuple((a >> s) & 1 for s in shifts))
+            at = bits.rfind("1", 0, at)
+    return points
 
 
 def brute_force_models(cnf: CNF, cap: int = BRUTE_FORCE_CAP) -> list[tuple[int, ...]]:
     """All satisfying assignments, in lexicographic order.
 
-    Enumerates 2^n assignments (vectorized in chunks), so n is limited by
-    ``cap``; exceeding it is an error, never silent truncation.
+    Enumerates 2^n assignments (bit-sliced, 2^16 per chunk), so n is
+    limited by ``cap``; exceeding it is an error, never silent truncation.
     """
     n = cnf.num_vars
     if n > cap:
         raise BruteForceCapError(f"{n} variables exceeds brute-force cap {cap}")
     ors, xors = _compiled_masks(cnf, n)
-    total = 1 << n
-    chunk = 1 << 16
-    models: list[tuple[int, ...]] = []
-    for start in range(0, total, chunk):
-        block = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        ok = np.ones(block.shape, dtype=bool)
-        for pos, neg in ors:
-            ok &= ((block & pos) != 0) | ((~block & neg) != 0)
-        for mask, parity in xors:
-            ok &= _parity64(block & mask) == parity
-        for value in block[ok]:
-            value = int(value)
-            models.append(tuple((value >> (n - i)) & 1 for i in range(1, n + 1)))
-    return models
+    low, full, cols = low_columns(n)
+
+    def below(mask: int) -> list[int]:
+        return [p for p in range(low) if mask >> p & 1]
+
+    # A clause splits into its literals above L, constant within a chunk,
+    # and the chunk bitset that its literals below L satisfy (for an XOR
+    # clause: the bitset of odd low parity).
+    or_sets = [(pos >> low, neg >> low,
+                reduce(or_, [cols[p] for p in below(pos)]
+                       + [full ^ cols[p] for p in below(neg)], 0))
+               for pos, neg in ors]
+    xor_sets = [(mask >> low, parity, reduce(xor, [cols[p] for p in below(mask)], 0))
+                for mask, parity in xors]
+
+    def accept(high: int) -> int:
+        ok = full
+        for pos, neg, sat in or_sets:
+            if not (high & pos or ~high & neg):
+                ok &= sat
+        for mask, parity, odd in xor_sets:
+            # the low literals' parity must make up the rest
+            ok &= full ^ odd if (high & mask).bit_count() & 1 == parity else odd
+        return ok
+
+    return sliced_points(n, accept)
 
 
 def dominant_variables(cnf: CNF, cap: int = BRUTE_FORCE_CAP) -> dict[int, frozenset[int]]:

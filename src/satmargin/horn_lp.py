@@ -11,9 +11,11 @@ LP lower bound.
 The procedure: build the clause inequality system, solve that one LP,
 select the variables whose least-element coordinate is > 0 (their feasible
 interval excludes 0), assign 1 to those and 0 to the rest, and verify the
-assignment on the CNF.  Verification is unconditional, so the answer is
-sound whatever the estimation step does; unit propagation always runs
-alongside as a cross-check and the report records agreement.
+assignment on the CNF.  Verification is unconditional, so a SAT answer is
+sound whatever the estimation step does; an assignment that fails it can
+only come from a simplex bug and raises ``RuntimeError``, never a verdict.
+Unit propagation always runs alongside as a cross-check and the report
+records agreement.
 
 With exact LP the selection threshold is sharp (no epsilon): a lower bound
 greater than 0 is exactly membership in the minimal model.  Every
@@ -63,10 +65,11 @@ def solve_horn_margin(cnf: CNF) -> HornSolveReport:
                          if x > 0)
     witness = tuple(1 if v in selected else 0
                     for v in range(1, cnf.num_vars + 1))
-    if evaluate(cnf, witness):
-        result = SolveResult("SAT", witness, "horn-lp-margin")
-        agreed = reference.status == "SAT" and reference.witness == witness
-    else:
-        result = SolveResult("UNSAT", None, "horn-lp-margin")
-        agreed = reference.status == "UNSAT"
+    if not evaluate(cnf, witness):
+        # the least element's support is the minimal model of a Horn CNF
+        # whose relaxation is feasible, so only a simplex bug lands here
+        raise RuntimeError("Horn LP is feasible but its least element's "
+                           "support fails the CNF")
+    result = SolveResult("SAT", witness, "horn-lp-margin")
+    agreed = reference.status == "SAT" and reference.witness == witness
     return HornSolveReport(result, selected, agreed, reference, tableau)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import reduce
+from operator import or_
 
 from .cnf import (CNF, Clause, OR, BruteForceCapError, BRUTE_FORCE_CAP,
-                  all_assignments)
+                  low_columns, sliced_points)
 
 RationalPoint = tuple  # tuple of Fraction, length num_vars
 
@@ -111,38 +111,39 @@ def integral_points(system: InequalitySystem,
     his = [math.floor(row.upper) for row in system.rows]
     if any(lo > hi for lo, hi in zip(los, his)):
         return []
-    coeff_limit = max((max(abs(c) for c in row.coeffs.values()) if row.coeffs else 0
-                       for row in system.rows), default=0)
-    bound_limit = max((max(abs(lo), abs(hi)) for lo, hi in zip(los, his)),
-                      default=0)
-    if system.rows and coeff_limit * n < 2 ** 40 and bound_limit < 2 ** 60:
-        return _integral_points_vectorized(system, los, his)
-    points = []
-    for a in all_assignments(n):
-        if all(lo <= sum(c * a[v - 1] for v, c in row.coeffs.items()) <= hi
-               for row, lo, hi in zip(system.rows, los, his)):
-            points.append(a)
-    return points
-
-
-def _integral_points_vectorized(system, los, his):
-    n = system.num_vars
-    A = np.zeros((len(system.rows), n), dtype=np.int64)
-    for i, row in enumerate(system.rows):
+    low, full, cols = low_columns(n)
+    # Each row splits into its terms above L (variable v sits on bit n - v),
+    # constant within a chunk, and the chunk bitsets of its low terms' sums,
+    # built by branching on one low variable at a time.
+    splits = []
+    for row, lo, hi in zip(system.rows, los, his):
+        high_terms = []
+        sums = {0: full}  # low partial sum -> the chunk points that reach it
         for v, c in row.coeffs.items():
-            A[i, v - 1] = c
-    lo = np.array(los, dtype=np.int64)
-    hi = np.array(his, dtype=np.int64)
-    total = 1 << n
-    chunk = 1 << 14
-    points = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int64)
-        vals = bits @ A.T
-        ok = np.all((vals >= lo) & (vals <= hi), axis=1)
-        points.extend(tuple(int(b) for b in bits[i]) for i in np.nonzero(ok)[0])
-    return points
+            p = n - v
+            if p >= low:
+                high_terms.append((p - low, c))
+                continue
+            branched: dict[int, int] = {}
+            for total, points in sums.items():
+                for key, part in ((total, points & ~cols[p]),
+                                  (total + c, points & cols[p])):
+                    if part:
+                        branched[key] = branched.get(key, 0) | part
+            sums = branched
+        splits.append((high_terms, sums, lo, hi, {}))
+
+    def accept(high: int) -> int:
+        ok = full
+        for high_terms, sums, lo, hi, memo in splits:
+            shift = sum(c for p, c in high_terms if high >> p & 1)
+            if shift not in memo:  # many chunks share a high-part sum
+                memo[shift] = reduce(or_, (points for total, points in sums.items()
+                                           if lo <= total + shift <= hi), 0)
+            ok &= memo[shift]
+        return ok
+
+    return sliced_points(n, accept)
 
 
 def fix_variables(system: InequalitySystem,

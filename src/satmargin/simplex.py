@@ -1,31 +1,34 @@
 """Exact rational linear programming over the 0/1 box via integer-pivoting
 simplex.
 
-The tableau is kept as an integer matrix T with a single positive
-denominator D (fraction-free Gauss-Jordan pivoting), so every tableau value
-is exactly T[i][j] / D; no floating point is involved anywhere.  Bland's
-smallest-index rule makes the method anti-cycling and deterministic; its
-ratio test is one exact minimum over the rows that a mask of the entering
-column selects, with ties broken on the basic variable.
-The objective is the tableau's last row, so every pivot updates it along
-with the constraint rows.  Two phases: phase 1 minimizes the total of the
-artificial variables, and then freezes a mask of the columns whose phase-1
-reduced cost is zero; only those columns may enter for any later objective,
-which keeps the artificials at 0.
+The tableau is fraction-free (Bareiss): every entry is an integer minor
+over one common positive denominator D, and no floating point is involved
+anywhere.  Each row, the objective row included, is a sparse ``dict`` from
+column to non-zero python int, tagged with the denominator ``d[i]`` it was
+last written at, so that row i's values are T[i][j] / d[i]; its entries in
+the dense Bareiss tableau over D are T[i][j] * D // d[i].  Python ints
+grow as needed, so results are exact at every size.
+
+A pivot is the Bareiss update T[i] <- (piv*T[i] - T[i,c]*T[r]) / D.  A row
+with a zero in the pivot column only changes scale, which its tag already
+records, so every pivot rewrites only the rows with a non-zero in its
+column (the objective row among them); on the stored rows the update is
+(piv*T[i] - T[i,c]*T[r]) / d[i], with T[r] read over D, and a row already
+tagged with piv is updated in place without the multiply.  A column index,
+the set of rows with a non-zero in each column, finds those rows without a
+scan.
+
+Bland's smallest-index rule makes the method anti-cycling and
+deterministic; its ratio test is one exact minimum over the rows with a
+positive entry in the entering column, ties broken on the basic variable.
+A row's scale cancels in its ratio, so stored entries are compared.  Two
+phases: phase 1 minimizes the total of the artificial variables, and then
+freezes the columns whose phase-1 reduced cost is zero; only those columns
+may enter for any later objective, which keeps the artificials at 0.
 
 Only boxed systems are accepted.  The box rows x_i <= 1 bound the variables,
 and each slack and artificial is affine in them, so every tableau column is
 bounded and no LP here, phase 1 included, can be unbounded.
-
-A pivot is the Bareiss update T[i] <- (piv*T[i] - T[i,c]*T[r]) / D.  When
-piv == D it leaves every row with T[i,c] == 0 as it is, so such a pivot
-rewrites only the rows with a non-zero in the pivot column, the objective
-row among them; otherwise every row is rescaled.
-
-The integer matrices live in numpy int64 arrays while entries are small and
-are promoted to python-int object arrays before any overflow could occur,
-so results are exact at every size.  The guard before a pivot bounds the
-rows that pivot rewrites, all of them when piv != D.
 
 ``ExactSimplex`` is the one way to drive a tableau: ``feasible`` runs
 phase 1 once, then ``minimize``/``maximize`` re-optimize the same warm
@@ -38,11 +41,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .reduction import InequalitySystem
 
-_INT64_SAFE = 1 << 30  # pivot products stay below 2**62
+
+class _Rows(list):
+    """The tableau's rows, sparse python-int dicts; entries are never
+    promoted, so the element type is always plain ``int``."""
+
+    dtype = int
 
 
 class ExactSimplex:
@@ -60,116 +66,147 @@ class ExactSimplex:
         # box implies are redundant and stay out of the tableau.
         rows: list[tuple[dict[int, int], int]] = []
         for row in system.rows:
-            mx = sum(c for c in row.coeffs.values() if c > 0)
-            mn = sum(c for c in row.coeffs.values() if c < 0)
-            for sign, b, implied in ((1, row.upper, mx), (-1, -row.lower, -mn)):
-                if b < implied:
-                    rows.append(({v: sign * c * b.denominator
-                                  for v, c in row.coeffs.items()}, b.numerator))
+            a = row.coeffs
+            mx = sum(c for c in a.values() if c > 0)
+            mn = sum(c for c in a.values() if c < 0)
+            p, q = row.upper.numerator, row.upper.denominator
+            if p < mx * q:
+                rows.append(({v: c * q for v, c in a.items()}, p))
+            p, q = row.lower.numerator, row.lower.denominator
+            if p > mn * q:
+                rows.append(({v: -c * q for v, c in a.items()}, -p))
         rows += [({v: 1}, 1) for v in range(1, n + 1)]
 
         m = len(rows)
         n_art = sum(1 for _, b in rows if b < 0)
         ncols = n + m + n_art
-        biggest = max((abs(x) for a, b in rows for x in (*a.values(), b)),
-                      default=0)
-        dtype = object if biggest >= _INT64_SAFE else np.int64
-        T = np.zeros((m + 1, ncols + 1), dtype=dtype)  # row m: objective
+        T = _Rows()
         basis = []
         arts = iter(range(n + m, ncols))
         for i, (a, b) in enumerate(rows):
             sign = -1 if b < 0 else 1  # negative rhs rows get artificials
-            for v, c in a.items():
-                T[i, v - 1] = sign * c
-            T[i, n + i] = sign  # slack
-            T[i, ncols] = sign * b
+            t = {v - 1: sign * c for v, c in a.items()}
+            t[n + i] = sign  # slack
+            if b:
+                t[ncols] = sign * b
             basis.append(n + i if sign > 0 else next(arts))  # slack or artificial
-            T[i, basis[i]] = 1
+            t[basis[i]] = 1
+            T.append(t)
+        T.append({})  # row m: the objective
+        cols: list[set[int]] = [set() for _ in range(ncols + 1)]
+        for i, t in enumerate(T):
+            for j in t:
+                cols[j].add(i)
 
         self.m = m
+        self._cols = cols  # column -> the rows with a non-zero in it
         self.ncols = ncols
         self.T = T
+        self.d = [1] * (m + 1)
         self.D = 1
         self.basis = basis
         # Phase 1 minimizes the artificial total; the artificials are the
         # last n_art columns.
-        cost = np.zeros(ncols + 1, dtype=np.int64)
-        cost[n + m:ncols] = 1
-        self._set_objective(cost)
-        self._eligible = np.ones(ncols, dtype=bool)
+        self._set_objective(dict.fromkeys(range(n + m, ncols), 1))
+        self._eligible = [True] * ncols + [False]  # the rhs never enters
         self._feasible: bool | None = None
 
     # -- tableau mechanics -------------------------------------------------
 
-    def _set_objective(self, cost: np.ndarray):
-        """Row m := D-scaled reduced costs  sum_i c[basis_i] T[i,j] - D c[j]."""
-        # plain-int elements in the object path: np.int64 scalars would
-        # overflow when multiplied into arbitrary-precision tableau entries
-        cb = [int(cost[b]) for b in self.basis]
-        # every term and partial sum of row m stays within this bound
-        if self.T.dtype != object and (
-                sum(map(abs, cb)) * int(np.abs(self.T[:self.m]).max(initial=0))
-                + self.D * int(np.abs(cost).max(initial=0)) >= 1 << 62):
-            self.T = self.T.astype(object)
-        # np.dot (unlike @) also handles object-dtype tableaux
-        self.T[self.m] = (np.dot(np.array(cb, dtype=self.T.dtype), self.T[:self.m])
-                          - self.D * cost.astype(self.T.dtype))
+    def _set_objective(self, cost: dict[int, int]):
+        """Row m := D-scaled reduced costs  sum_i c[basis_i] T[i,j] - D c[j],
+        summed over the basic rows with a non-zero cost only."""
+        T, d, D = self.T, self.d, self.D
+        z: dict[int, int] = {}
+        for i, b in enumerate(self.basis):
+            cb = cost.get(b)
+            if cb:
+                di = d[i]
+                for j, x in T[i].items():
+                    z[j] = z.get(j, 0) + cb * (x if di == D else x * D // di)
+        for j, cj in cost.items():
+            z[j] = z.get(j, 0) - D * cj
+        cols, m = self._cols, self.m
+        for j in T[m]:
+            cols[j].discard(m)
+        T[m] = z = {j: x for j, x in z.items() if x}
+        d[m] = D
+        for j in z:
+            cols[j].add(m)
 
     def _pivot(self, r: int, c: int):
-        T = self.T
-        piv = T[r, c]
+        T, d, D = self.T, self.d, self.D
+        top = T[r]
+        piv = top.get(c, 0)
+        if d[r] != D:  # row r over D: the dense pivot row
+            piv = piv * D // d[r]
+            top = {j: x * D // d[r] for j, x in top.items()}
         if not piv > 0:
             raise RuntimeError(
                 f"simplex invariant broken: pivot T[{r},{c}] = {piv} is not positive")
-        # The division is exact, as every entry is a minor.  With piv == D
-        # only the column's non-zero rows (row r among them) change, so only
-        # they are bounded and rewritten, in a copy; otherwise all of T is,
-        # in place.
-        sparse = piv == self.D
-        rows = np.flatnonzero(T[:, c]) if sparse else slice(None)
-        sub = T[rows]
-        if T.dtype != object and int(np.abs(sub).max()) >= _INT64_SAFE:
-            T = self.T = T.astype(object)
-            sub = T[rows]
-            piv = T[r, c]
-        col = sub[:, c].copy()
-        rowr = T[r].copy()
-        sub *= piv
-        sub -= np.outer(col, rowr)
-        sub //= self.D
-        if sparse:
-            T[rows] = sub
-        T[r] = rowr
-        self.D = int(piv)
+        # Every division is exact, as every dense entry is a minor.  Column
+        # c becomes zero in every rewritten row.
+        rest = [(j, y) for j, y in top.items() if j != c]
+        cols = self._cols
+        for i in cols[c]:
+            if i == r:
+                continue
+            row = T[i]
+            f, di = row.pop(c), d[i]
+            scaled = di != piv
+            if scaled:
+                row = {j: piv * x for j, x in row.items()}
+                q = 1
+            else:  # piv*T[i] / d[i] is T[i]: update it in place
+                q = di
+            get = row.get
+            for j, y in rest:
+                x = get(j)
+                if x is None:
+                    row[j] = -(f * y // q)
+                    cols[j].add(i)
+                elif x := x - f * y // q:
+                    row[j] = x
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if scaled:
+                T[i] = {j: x // di for j, x in row.items()}
+                d[i] = piv
+        cols[c] = {r}
+        T[r] = top
+        d[r] = piv
+        self.D = piv
         self.basis[r] = c
 
     def _ratio_leave(self, e: int) -> int:
         """Bland leaving row for entering column e: among the rows with
         T[i, e] > 0, the least ratio rhs / T[i, e], ties to the smallest
-        basic variable; ratios are compared exactly, as python ints."""
-        col = self.T[:self.m, e]
-        rows = np.flatnonzero(col > 0)
-        if not rows.size:
+        basic variable; ratios are compared exactly, cross-multiplied."""
+        T, rhs, basis = self.T, self.ncols, self.basis
+        best = None
+        for i in self._cols[e]:
+            den = T[i][e]
+            if den > 0 and i < self.m:
+                num = T[i].get(rhs, 0)
+                if best is None or (num * best_den, basis[i]) < \
+                        (best_num * den, basis[best]):
+                    best, best_num, best_den = i, num, den
+        if best is None:
             raise RuntimeError(
                 f"simplex invariant broken: column {e} is an improving ray, "
                 "but every column of a boxed tableau is bounded")
-        nums, dens = self.T[rows, self.ncols].tolist(), col[rows].tolist()
-        best = 0
-        for k in range(1, len(nums)):  # cross-multiplied, so no division
-            if (nums[k] * dens[best], self.basis[rows[k]]) < \
-                    (nums[best] * dens[k], self.basis[rows[best]]):
-                best = k
-        return int(rows[best])
+        return best
 
     def _optimize_current(self):
         """Bland simplex on row m to optimality: enter the smallest eligible
         column with a positive reduced cost."""
+        eligible = self._eligible
         while True:
-            enter = np.flatnonzero(self._eligible
-                                   & (self.T[self.m, :self.ncols] > 0))
-            if not enter.size:
+            c = min((j for j, x in self.T[self.m].items()
+                     if x > 0 and eligible[j]), default=None)
+            if c is None:
                 return
-            c = int(enter[0])
             self._pivot(self._ratio_leave(c), c)
 
     # -- public interface --------------------------------------------------
@@ -179,11 +216,11 @@ class ExactSimplex:
         if self._feasible is None:
             self._optimize_current()
             z = self.T[self.m]
-            self._feasible = bool(z[self.ncols] == 0)
+            self._feasible = self.ncols not in z
             # Freeze the columns with zero phase-1 reduced cost.  A pivot on
             # one would only rescale the phase-1 row by piv/D > 0, so the
             # mask stays exact once later objectives replace that row.
-            self._eligible = z[:self.ncols] == 0
+            self._eligible = [j not in z for j in range(self.ncols)] + [False]
         return self._feasible
 
     def minimize(self, objective: dict[int, Fraction]) -> Fraction | None:
@@ -193,19 +230,17 @@ class ExactSimplex:
             return None
         scale = lcm(*(Fraction(c).denominator for c in objective.values())) \
             if objective else 1
-        # object dtype: a coefficient beyond int64 must reach the guard below
-        cost = np.zeros(self.ncols + 1, dtype=object)
+        cost = {}
         for v, coeff in objective.items():
             if not 1 <= v <= self.n:
                 raise ValueError(f"objective references x{v} outside 1..{self.n}")
             cost[v - 1] = int(Fraction(coeff) * scale)
-        if self.T.dtype != object and np.abs(cost).max(initial=0) >= _INT64_SAFE:
-            self.T = self.T.astype(object)
         self._set_objective(cost)
         # phase 1 left the artificials at 0 and only eligible columns enter,
         # so they stay at 0
         self._optimize_current()
-        return Fraction(int(self.T[self.m, self.ncols]), self.D * scale)
+        return Fraction(self.T[self.m].get(self.ncols, 0),
+                        self.d[self.m] * scale)
 
     def maximize(self, objective: dict[int, Fraction]) -> Fraction | None:
         """Exact maximum, or None when the system is infeasible."""
@@ -218,7 +253,7 @@ class ExactSimplex:
         rhs = self.ncols
         for i, b in enumerate(self.basis):
             if b < self.n:
-                vals[b] = Fraction(int(self.T[i, rhs]), self.D)
+                vals[b] = Fraction(self.T[i].get(rhs, 0), self.d[i])
         return tuple(vals)
 
     def intervals(self) -> dict[int, tuple[Fraction, Fraction]] | None:

@@ -52,6 +52,28 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", str(path))
         assert code == 0 and "UNSAT" in out
 
+    @pytest.mark.parametrize("clauses, status", [
+        ("1 2 3 0\n-1 -2 -3 0\n", "SAT"),
+        # all eight sign patterns on three variables
+        ("".join(f"{a} {b} {c} 0\n" for a in (1, -1) for b in (2, -2)
+                 for c in (3, -3)), "UNSAT")])
+    def test_general_3cnf_within_brute_cap(self, capsys, tmp_path,
+                                           clauses, status):
+        path = tmp_path / "f.cnf"
+        path.write_text(f"p cnf 3 {clauses.count(' 0')}\n{clauses}")
+        code, out, _ = run(capsys, "--brute-cap", "3", "classify", str(path))
+        assert (code, out) == (0, f"GENERAL_K(3); {status}\n")
+
+    @pytest.mark.parametrize("clauses, status", [
+        ("1 0\n-1 -2 3 0\n-3 0\n", "SAT"),
+        ("1 0\n2 0\n-1 -2 3 0\n-3 0\n", "UNSAT")])
+    def test_horn_not_2sat(self, capsys, tmp_path, clauses, status):
+        # width 3, so unit propagation decides it, not the 2-SAT solver
+        path = tmp_path / "f.cnf"
+        path.write_text(f"p cnf 3 {clauses.count(' 0')}\n{clauses}")
+        code, out, _ = run(capsys, "classify", str(path))
+        assert (code, out) == (0, f"GENERAL_K(3),HORN; {status}\n")
+
     def test_undecided_above_cap(self, capsys, tmp_path):
         clauses = ["1 2 3 0"] * 1
         path = tmp_path / "f.cnf"

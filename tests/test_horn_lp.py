@@ -38,6 +38,16 @@ class TestExamples:
         with pytest.raises(ValueError):
             solve_horn_margin(CNF.from_ints(2, ors=[[1, 2]]))
 
+    def test_failed_verification_is_an_internal_error(self, monkeypatch):
+        # a feasible Horn LP whose vertex reads all zeros, as only a broken
+        # simplex could give: x1 = 0 fails the unit clause, and the solver
+        # must raise instead of reporting UNSAT
+        cnf = CNF.from_ints(2, ors=[[1], [-1, 2]])
+        monkeypatch.setattr(ExactSimplex, "witness",
+                            lambda self: (Fraction(0),) * self.n)
+        with pytest.raises(RuntimeError, match="fails the CNF"):
+            solve_horn_margin(cnf)
+
 
 class TestAgreementSuite:
     def test_total_agreement(self):

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from satmargin.cnf import CNF, parse_dimacs, brute_force_models
+from satmargin.cnf import CNF, parse_dimacs, brute_force_models, evaluate
 from satmargin.reduction import (
     BoundedInequality, InequalitySystem, clause_to_inequality, cnf_to_system,
     satisfies, integral_points, fix_variables, format_system,
@@ -127,6 +128,48 @@ class TestIntegralPoints:
         sys_ = InequalitySystem(
             1, [BoundedInequality({1: 1}, Fraction(1, 2), Fraction(3, 2))])
         assert integral_points(sys_) == [(1,)]
+
+
+class TestBitSlicedEnumeration:
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 18])
+    def test_enumerations_across_the_chunk_boundary(self, n):
+        # brute_force_models and integral_points enumerate 2^16 points per
+        # chunk; variables 1 to n - 16 are the high ones, constant within
+        # a chunk.  Both are compared with a plain product loop, which
+        # yields the points in lexicographic order.
+        rng = random.Random(n)
+
+        def signed(vs):
+            return [v if rng.random() < 0.5 else -v for v in vs]
+
+        ors = [signed(sorted({1, n}))] if n else []
+        if n > 16:  # literals on the high variables only
+            ors.append(signed(range(1, n - 15)))
+        ors += [signed(rng.sample(range(1, n + 1), 2 + k % 2))
+                for k in range(6 if n > 2 else 0)]
+        xors = [signed(rng.sample(range(1, n + 1), min(3, n)))] if n else []
+        vs = rng.sample(range(1, n + 1), min(4, n))
+        rows = [  # coefficients beyond +-1 and fractional bounds
+            BoundedInequality(dict(zip(vs, [2, -3, 5, 1])),
+                              Fraction(-7, 2), Fraction(1, 3)),
+            BoundedInequality({}, Fraction(-1, 2), Fraction(1, 2))]
+        if n > 16:
+            rows.append(BoundedInequality(dict.fromkeys(range(1, n - 15), 3),
+                                          Fraction(0), Fraction(7, 2)))
+        or_cnf = CNF.from_ints(n, ors=ors)
+        sys_ = InequalitySystem(n, rows + cnf_to_system(or_cnf).rows)
+        cnf = CNF.from_ints(n, ors=ors, xors=xors)
+        # one loop over all 2^n points; the models of cnf and the points of
+        # sys_ both lie among the models of its OR clauses
+        candidates = [a for a in itertools.product((0, 1), repeat=n)
+                      if evaluate(or_cnf, a)]
+        models = [a for a in candidates if evaluate(cnf, a)]
+        points = [a for a in candidates if satisfies(sys_, a)]
+        assert brute_force_models(cnf) == models
+        assert integral_points(sys_) == points
+        if n >= 15:  # neither side is empty or everything
+            assert 0 < len(models) < len(candidates) < 2 ** n
+            assert 0 < len(points) < len(candidates)
 
 
 class TestFixVariables:

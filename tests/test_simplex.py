@@ -3,7 +3,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from satmargin.cnf import CNF, parse_dimacs, brute_force_models
@@ -17,6 +16,13 @@ from conftest import EQ1_DIMACS, random_cnf, random_horn_cnf, random_system
 
 def eq3_system():
     return cnf_to_system(parse_dimacs(EQ1_DIMACS))
+
+
+def dense(tab):
+    """The Bareiss tableau over the common denominator D: row i's stored
+    entries are over d[i], so its dense entries are T[i][j] * D // d[i]."""
+    return [[row.get(j, 0) * tab.D // tab.d[i] for j in range(tab.ncols + 1)]
+            for i, row in enumerate(tab.T)]
 
 
 def fresh_interval(system, var):
@@ -232,24 +238,29 @@ class TestInvariants:
         tiny = InequalitySystem(1, [
             BoundedInequality({1: 1}, Fraction(1, big), Fraction(2, 3))])
         assert fresh_interval(tiny, 1) == (Fraction(1, big), Fraction(2, 3))
-        # an objective coefficient beyond int64 promotes an int64 tableau
+        # an objective coefficient beyond int64 stays exact too
         assert ExactSimplex(eq3_system()).minimize({1: big ** 2}) \
             == Fraction(big ** 2, 3)
 
-    def test_objective_row_overflow_promotes(self):
-        # phase 1 leaves an entry of about 2**57 in an int64 tableau; the
-        # new objective row's dot product could pass 2**63, so it promotes
+    def test_objective_row_with_big_entries_is_exact(self):
+        # phase 1 leaves an entry of about 2**57; the new objective row's
+        # sums pass 2**63, and python ints keep every one of them exact
         sys_ = InequalitySystem(2, [
             BoundedInequality({1: -345831701, 2: 325370344},
                               Fraction(162736977), Fraction(540517108)),
             BoundedInequality({1: -443718039},
                               Fraction(-117012821), Fraction(121458559))])
         tab = ExactSimplex(sys_)
-        assert tab.feasible() and tab.T.dtype == np.int64
-        assert int(np.abs(tab.T[:tab.m]).max()) == 144372690988435416
-        assert tab.minimize({1: 2 ** 29 - 1, 2: 2 ** 29 - 1}) \
-            == Fraction(6720673007336619, 25028488)
-        assert tab.T.dtype == object
+        assert tab.feasible()
+        assert max(abs(x) for row in dense(tab)[:tab.m] for x in row) \
+            == 144372690988435416
+        obj = {1: 2 ** 29 - 1, 2: 2 ** 29 - 1}
+        optimum = Fraction(6720673007336619, 25028488)
+        assert tab.minimize(obj) == optimum == oracle_minimum(sys_, obj)
+        assert satisfies(sys_, tab.witness())
+        # nothing is promoted: every entry is a plain python int
+        assert tab.T.dtype is int
+        assert all(type(x) is int for row in tab.T for x in row.values())
 
     def test_bland_tie_break(self):
         # rows 0 and 2 tie in the ratio test for column 11; Bland's rule
@@ -260,9 +271,9 @@ class TestInvariants:
             BoundedInequality({2: 2, 3: 2}, Fraction(1), Fraction(2))])
         tab = ExactSimplex(sys_)
         assert tab.minimize({1: -1, 2: 1, 3: 2}) == Fraction(-1, 2)
-        T, rhs = tab.T, tab.ncols
-        assert [(i, Fraction(int(T[i, rhs]), int(T[i, 11])), tab.basis[i])
-                for i in range(tab.m) if T[i, 11] > 0] == \
+        T, rhs = dense(tab), tab.ncols
+        assert [(i, Fraction(T[i][rhs], T[i][11]), tab.basis[i])
+                for i in range(tab.m) if T[i][11] > 0] == \
             [(0, 1, 4), (2, 1, 1)]
         assert tab._ratio_leave(11) == 2
 
@@ -286,22 +297,24 @@ class TestInvariants:
     def test_nonpositive_pivot_raises(self):
         # an explicit check, so it survives python -O unlike an assert
         tab = ExactSimplex(eq3_system())
+        T = dense(tab)
         r, c = next((r, c) for r in range(tab.m) for c in range(tab.ncols)
-                    if tab.T[r, c] <= 0)
+                    if T[r][c] <= 0)
         with pytest.raises(RuntimeError, match="pivot"):
             tab._pivot(r, c)
 
     def test_improving_ray_raises(self):
         # a boxed tableau has no unbounded column; finding one is a bug
         tab = ExactSimplex(eq3_system())
+        T = dense(tab)
         c = next(c for c in range(tab.ncols)
-                 if (tab.T[:tab.m, c] <= 0).all())
+                 if all(T[i][c] <= 0 for i in range(tab.m)))
         with pytest.raises(RuntimeError, match="ray"):
             tab._ratio_leave(c)
 
 
 # ---------------------------------------------------------------------------
-# pivots against a dense reference, and the int64 guard of a row-sparse pivot
+# pivots against a dense reference, and the rows a pivot leaves alone
 # ---------------------------------------------------------------------------
 
 def dense_bareiss(rows, D, r, c):
@@ -319,7 +332,7 @@ def dense_bareiss(rows, D, r, c):
     return out, piv
 
 
-# 2**29-scale coefficients: the tableau promotes to object dtype mid-solve
+# 2**29-scale coefficients: dense entries pass 2**63 mid-solve
 BIG_SYSTEM = InequalitySystem(2, [
     BoundedInequality({1: -25377433, 2: 508707755},
                       Fraction(-201858170), Fraction(213204361)),
@@ -328,51 +341,83 @@ BIG_SYSTEM = InequalitySystem(2, [
     BoundedInequality({1: -426614132}, Fraction(-379608811), Fraction(-341677757))])
 
 
+def pivot_systems():
+    rng = random.Random(46)
+    systems = [cnf_to_system(random_horn_cnf(rng, rng.randint(2, 10),
+                                             rng.randint(1, 15)))
+               for _ in range(15)]
+    systems += [random_system(rng, rng.randint(2, 5), rng.randint(1, 6))
+                for _ in range(15)]
+    return systems + [BIG_SYSTEM]
+
+
 class TestPivot:
     def test_every_pivot_matches_dense_bareiss(self, monkeypatch):
-        taken = Counter()  # (piv == D, dtype is object) -> pivots
+        taken = Counter()
+        biggest = 0
         real_pivot = ExactSimplex._pivot
 
         def checked(tab, r, c):
-            want_T, want_D = dense_bareiss(tab.T.tolist(), tab.D, r, c)
+            nonlocal biggest
+            before = dense(tab)
+            want_T, want_D = dense_bareiss(before, tab.D, r, c)
             want_basis = tab.basis[:r] + [c] + tab.basis[r + 1:]
-            branch = bool(tab.T[r, c] == tab.D)
+            taken["piv == D" if before[r][c] == tab.D else "piv != D"] += 1
+            # a rewritten row last written at another denominator than the
+            # pivot's is rescaled, not updated in place
+            taken["rescaled"] += sum(1 for i, row in enumerate(tab.T)
+                                     if i != r and c in row
+                                     and tab.d[i] != want_D)
             real_pivot(tab, r, c)
-            taken[branch, tab.T.dtype == object] += 1
-            assert tab.T.tolist() == want_T
+            assert dense(tab) == want_T
             assert (tab.D, tab.basis) == (want_D, want_basis)
+            # the column index names exactly the rows with a non-zero
+            assert tab._cols == [{i for i, row in enumerate(tab.T) if j in row}
+                                 for j in range(tab.ncols + 1)]
+            biggest = max(biggest, max(abs(x) for row in want_T for x in row))
 
         monkeypatch.setattr(ExactSimplex, "_pivot", checked)
-        rng = random.Random(46)
-        systems = [cnf_to_system(random_horn_cnf(rng, rng.randint(2, 10),
-                                                 rng.randint(1, 15)))
-                   for _ in range(15)]
-        systems += [random_system(rng, rng.randint(2, 5), rng.randint(1, 6))
-                    for _ in range(15)]
-        for sys_ in systems + [BIG_SYSTEM]:
-            tab = ExactSimplex(sys_)
-            tab.intervals()
-        assert tab.T.dtype == object
-        # both branches, on both dtypes
-        assert set(taken) == {(True, False), (False, False),
-                              (True, True), (False, True)}
+        for sys_ in pivot_systems():
+            ExactSimplex(sys_).intervals()
+        assert taken["piv == D"] and taken["piv != D"] and taken["rescaled"]
+        assert biggest >= 2 ** 63
+
+    def test_pivot_leaves_rows_without_its_column_untouched(self, monkeypatch):
+        untouched = Counter()  # piv == D -> rows with a zero in the column
+        real_pivot = ExactSimplex._pivot
+
+        def checked(tab, r, c):
+            keep = {i: (dict(row), tab.d[i]) for i, row in enumerate(tab.T)
+                    if i != r and c not in row}
+            branch = tab.T[r][c] * tab.D // tab.d[r] == tab.D
+            real_pivot(tab, r, c)
+            for i, (row, d) in keep.items():
+                assert (tab.T[i], tab.d[i]) == (row, d)
+            untouched[branch] += len(keep)
+
+        monkeypatch.setattr(ExactSimplex, "_pivot", checked)
+        for sys_ in pivot_systems():
+            ExactSimplex(sys_).intervals()
+        assert untouched[True] and untouched[False]
 
     def _pivot_case(self, row, value):
         # eq3's initial tableau has D = 1, and pivot (4, 0) has piv = 1:
         # rows 0, 1 and 4 have a non-zero in column 0, row 5 does not
         tab = ExactSimplex(eq3_system())
-        assert tab.D == tab.T[4, 0] == 1 and tab.T[5, 0] == 0 != tab.T[0, 0]
-        tab.T[row, tab.ncols] = value
-        before = tab.T.tolist()
+        T = dense(tab)
+        assert tab.D == T[4][0] == 1 and T[5][0] == 0 != T[0][0]
+        tab.T[row][tab.ncols] = value
+        before = dense(tab)
         tab._pivot(4, 0)
         return tab, before
 
-    def test_guard_skips_rows_the_pivot_keeps(self):
+    def test_big_entry_in_a_row_the_pivot_keeps(self):
         tab, before = self._pivot_case(5, 2 ** 40)
-        assert tab.T.dtype == np.int64
-        assert tab.T[5].tolist() == before[5]
+        assert dense(tab)[5] == before[5]
+        assert tab.T[5][tab.ncols] == 2 ** 40
+        assert dense(tab) == dense_bareiss(before, 1, 4, 0)[0]
 
-    def test_guard_promotes_a_rewritten_row(self):
+    def test_big_entry_in_a_rewritten_row(self):
         tab, before = self._pivot_case(0, 2 ** 40)
-        assert tab.T.dtype == object
-        assert tab.T.tolist() == dense_bareiss(before, 1, 4, 0)[0]
+        assert dense(tab) == dense_bareiss(before, 1, 4, 0)[0]
+        assert dense(tab)[0] != before[0]

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import satmargin
@@ -34,3 +37,32 @@ def test_imports_at_module_top():
                   for node in ast.walk(func)
                   if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside functions: {found}"
+
+
+def test_no_numpy():
+    # the package runs on the standard library alone, which keeps
+    # ``import satmargin`` cheap
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"numpy imports in the package: {found}"
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(satmargin.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, satmargin; print(satmargin.__file__); "
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert done.stdout.splitlines() == [satmargin.__file__, "False"]
