@@ -15,7 +15,6 @@ package is validated against.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -615,8 +614,3 @@ def solve_xor_gauss(cnf: CNF) -> SolveResult:
                 acc ^= assignment[other]
         assignment[col] = acc
     return SolveResult("SAT", tuple(assignment), "xor-gauss")
-
-
-def all_assignments(n: int):
-    """All 0/1 tuples of length n in lexicographic order."""
-    return itertools.product((0, 1), repeat=n)

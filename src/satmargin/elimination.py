@@ -87,17 +87,15 @@ class _Workspace:
     """One-sided row set with id bookkeeping for a projection run."""
 
     def __init__(self, system: InequalitySystem, max_rows: int):
-        if not system.box:
-            raise ValueError("elimination operates on boxed systems")
         self.num_vars = system.num_vars
         self.max_rows = max_rows
         self.trace = EliminationTrace()
         self._next_id = 0
         self.rows: dict[int, tuple[dict[int, int], Fraction]] = {}
         for row in system.rows:
-            for coeffs, bound in ((dict(row.coeffs), Fraction(row.lower)),
+            for coeffs, bound in ((dict(row.coeffs), row.lower),
                                   ({v: -c for v, c in row.coeffs.items()},
-                                   -Fraction(row.upper))):
+                                   -row.upper)):
                 self.rows[self._new_id(coeffs, bound)] = (coeffs, bound)
 
     def _new_id(self, coeffs, bound) -> int:
@@ -216,18 +214,18 @@ def rows_to_system(num_vars: int,
     for key, (lower, upper) in bounds.items():
         coeffs = dict(key)
         if lower is None:
-            lower = Fraction(sum(c for c in coeffs.values() if c < 0))
+            lower = sum(c for c in coeffs.values() if c < 0)
         if upper is None:
-            upper = Fraction(sum(c for c in coeffs.values() if c > 0))
+            upper = sum(c for c in coeffs.values() if c > 0)
         out.append(BoundedInequality(coeffs, lower, upper))
     out.sort(key=lambda r: r.key())
-    return InequalitySystem(num_vars, out, box=True)
+    return InequalitySystem(num_vars, out)
 
 
 def fm_project(system: InequalitySystem, keep, order: str = "greedy",
                max_rows: int = 100_000,
                lp_redundancy: bool = False) -> tuple[InequalitySystem, EliminationTrace]:
-    """Project a boxed system onto the kept variables.
+    """Project a system onto the kept variables.
 
     ``order`` picks the elimination sequence: "given" eliminates in
     ascending variable index, "greedy" picks the variable minimizing the
@@ -235,8 +233,8 @@ def fm_project(system: InequalitySystem, keep, order: str = "greedy",
     ``lp_redundancy`` switches on full LP-based redundancy elimination after
     every step (exact duplicates and single-row dominations are always
     dropped; the LP pass costs one solve per surviving row).
-    The rational solution set of the result is exactly the projection of the
-    input's (the kept variables' box is preserved by the output's box flag).
+    The rational solution set of the result, inside the kept variables' 0/1
+    box that every system carries, is exactly the projection of the input's.
     """
     keep = set(keep)
     if not keep:
@@ -289,8 +287,8 @@ def integral_tighten(system: InequalitySystem) -> InequalitySystem:
         g = gcd(*row.coeffs.values())
         coeffs = {v: c // g for v, c in row.coeffs.items()}
         out.append(BoundedInequality(
-            coeffs, Fraction(ceil(row.lower / g)), Fraction(floor(row.upper / g))))
-    return InequalitySystem(system.num_vars, out, system.box)
+            coeffs, ceil(row.lower / g), floor(row.upper / g)))
+    return InequalitySystem(system.num_vars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +367,7 @@ def chain_aggregate(inst: SynthesizedInstance,
         raise AggregationError(
             f"non-candidate variables survived the weighted sum: "
             f"{sorted(stray)} (weights {weights})")
-    row = BoundedInequality(coeffs, Fraction(lo), Fraction(hi))
+    row = BoundedInequality(coeffs, lo, hi)
     return AggregateInequality(row, lo, hi, list(multipliers), weights)
 
 

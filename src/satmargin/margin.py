@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .chains import SynthesizedInstance, synthesize_fragment_family, FRAGMENT_XOR
 from .elimination import AggregateInequality, chain_aggregate, fm_project
-from .reduction import BoundedInequality, InequalitySystem, cnf_to_system
+from .reduction import (BoundedInequality, InequalitySystem, cnf_to_system,
+                        fix_variables)
 
 LINE_CAP = 1 << 12
 
@@ -69,30 +70,20 @@ def decision_interval(projected: InequalitySystem,
     """Exact feasible interval of the dominant variable on one line, or None
     when the intersection is empty."""
     lo, hi = Fraction(0), Fraction(1)  # the box
-    fixed = dict(line.fixed_coords)
-    for row in projected.rows:
-        shift = Fraction(0)
-        coeff = 0
-        for v, c in row.coeffs.items():
-            if v == line.dominant_var:
-                coeff = c
-            elif v in fixed:
-                shift += c * fixed[v]
-            else:
+    for row in fix_variables(projected, dict(line.fixed_coords)).rows:
+        if not row.coeffs:  # fix_variables' mark of a violated row
+            return None
+        for v in row.coeffs:
+            if v != line.dominant_var:
                 raise ValueError(
                     f"row mentions x{v}, which the line neither fixes nor varies")
-        rlo = row.lower - shift
-        rhi = row.upper - shift
-        if coeff == 0:
-            if rlo > 0 or rhi < 0:
-                return None
-            continue
+        coeff = row.coeffs[line.dominant_var]
         if coeff > 0:
-            lo = max(lo, rlo / coeff)
-            hi = min(hi, rhi / coeff)
+            lo = max(lo, row.lower / coeff)
+            hi = min(hi, row.upper / coeff)
         else:
-            lo = max(lo, rhi / coeff)
-            hi = min(hi, rlo / coeff)
+            lo = max(lo, row.upper / coeff)
+            hi = min(hi, row.lower / coeff)
         if lo > hi:
             return None
     return (lo, hi)
@@ -101,8 +92,7 @@ def decision_interval(projected: InequalitySystem,
 def decision_margin(system: InequalitySystem, dominant_var: int,
                     infeasible_value: int, keep,
                     order: str = "greedy", max_rows: int = 100_000,
-                    line_cap: int = LINE_CAP,
-                    coeff_ratio_bound: Fraction | None = None) -> MarginReport:
+                    line_cap: int = LINE_CAP) -> MarginReport:
     """Project the system onto ``keep`` and take the margin over all
     decision lines of the dominant variable.
 
@@ -139,13 +129,13 @@ def decision_margin(system: InequalitySystem, dominant_var: int,
     if margin is None and any_interval:
         margin = Fraction(0)
     return MarginReport(dominant_var, infeasible_value, tuple(keep),
-                        per_line, margin, coeff_ratio_bound)
+                        per_line, margin)
 
 
 def aggregate_system(agg: AggregateInequality, num_vars: int) -> InequalitySystem:
     """The aggregate row alone, over the instance's variables, with the box."""
     return InequalitySystem(num_vars, [BoundedInequality(
-        dict(agg.row.coeffs), agg.row.lower, agg.row.upper)], box=True)
+        dict(agg.row.coeffs), agg.row.lower, agg.row.upper)])
 
 
 def aggregate_ratio_bound(inst: SynthesizedInstance,
@@ -181,8 +171,8 @@ def family_margin(inst: SynthesizedInstance, aggregate_only: bool = True,
               else cnf_to_system(inst.cnf))
     report = decision_margin(system, inst.dominant_var,
                              1 - inst.expected_dominant_value,
-                             set(inst.candidate_vars),
-                             coeff_ratio_bound=bound, **options)
+                             set(inst.candidate_vars), **options)
+    report.coeff_ratio_bound = bound
     return report, agg
 
 

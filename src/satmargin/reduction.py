@@ -39,8 +39,7 @@ class BoundedInequality:
         self.upper = Fraction(self.upper)
 
     def value_at(self, point) -> Fraction:
-        return sum((point[v - 1] * c for v, c in self.coeffs.items()),
-                   start=Fraction(0))
+        return sum(point[v - 1] * c for v, c in self.coeffs.items())
 
     def holds_at(self, point) -> bool:
         val = self.value_at(point)
@@ -57,9 +56,11 @@ class BoundedInequality:
 class InequalitySystem:
     num_vars: int
     rows: list[BoundedInequality] = field(default_factory=list)
-    box: bool = True  # 0 <= x_i <= 1 for all variables
+    box: bool = True  # 0 <= x_i <= 1 on every variable; False is rejected
 
     def __post_init__(self):
+        if not self.box:
+            raise ValueError("every system lies in the 0/1 box")
         for row in self.rows:
             for v in row.coeffs:
                 if not 1 <= v <= self.num_vars:
@@ -78,13 +79,13 @@ def clause_to_inequality(clause: Clause) -> BoundedInequality:
         coeffs[lit.var] = -1 if lit.negated else 1
     p = clause.positive_count()
     n = clause.negative_count()
-    return BoundedInequality(coeffs, Fraction(1 - n), Fraction(p))
+    return BoundedInequality(coeffs, 1 - n, p)
 
 
 def cnf_to_system(cnf: CNF) -> InequalitySystem:
     """One row per clause, in clause order, plus the 0/1 box."""
     rows = [clause_to_inequality(cl) for cl in cnf.clauses]
-    return InequalitySystem(cnf.num_vars, rows, box=True)
+    return InequalitySystem(cnf.num_vars, rows)
 
 
 def satisfies(system: InequalitySystem, point) -> bool:
@@ -92,16 +93,14 @@ def satisfies(system: InequalitySystem, point) -> bool:
     if len(point) != system.num_vars:
         raise ValueError(
             f"point has {len(point)} coords, system has {system.num_vars} vars")
-    if system.box and any(not (0 <= x <= 1) for x in point):
+    if any(not (0 <= x <= 1) for x in point):
         return False
     return all(row.holds_at(point) for row in system.rows)
 
 
 def integral_points(system: InequalitySystem,
                     cap: int = BRUTE_FORCE_CAP) -> list[tuple[int, ...]]:
-    """All 0/1 points satisfying a boxed system, in lexicographic order."""
-    if not system.box:
-        raise ValueError("integral enumeration requires the 0/1 box")
+    """All 0/1 points satisfying the system, in lexicographic order."""
     n = system.num_vars
     if n > cap:
         raise BruteForceCapError(f"{n} variables exceeds enumeration cap {cap}")
@@ -155,14 +154,12 @@ def fix_variables(system: InequalitySystem,
     fixed value outside the box, surfaces as the empty constant row
     0 in [1, 0], which every point fails.
     """
-    infeasible = BoundedInequality({}, Fraction(1), Fraction(0))
+    infeasible = BoundedInequality({}, 1, 0)
+    if any(not (0 <= val <= 1) for val in fixed.values()):
+        return InequalitySystem(system.num_vars, [infeasible])
     rows: list[BoundedInequality] = []
-    if system.box:
-        for v, val in fixed.items():
-            if not (0 <= val <= 1):
-                return InequalitySystem(system.num_vars, [infeasible], system.box)
     for row in system.rows:
-        shift = Fraction(0)
+        shift = 0
         coeffs = {}
         for v, c in row.coeffs.items():
             if v in fixed:
@@ -176,7 +173,7 @@ def fix_variables(system: InequalitySystem,
                 rows.append(infeasible)
             continue
         rows.append(BoundedInequality(coeffs, lower, upper))
-    return InequalitySystem(system.num_vars, rows, system.box)
+    return InequalitySystem(system.num_vars, rows)
 
 
 def format_terms(coeffs: dict[int, int]) -> str:
@@ -198,6 +195,6 @@ def format_system(system: InequalitySystem, include_box: bool = False) -> str:
     ``include_box`` adds a trailer line."""
     lines = [f"{row.lower} <= {format_terms(row.coeffs)} <= {row.upper}"
              for row in system.rows]
-    if include_box and system.box:
+    if include_box:
         lines.append(f"box: 0 <= x_i <= 1 for i in 1..{system.num_vars}")
     return "\n".join(lines) + "\n"

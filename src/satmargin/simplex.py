@@ -26,9 +26,9 @@ phases: phase 1 minimizes the total of the artificial variables, and then
 freezes the columns whose phase-1 reduced cost is zero; only those columns
 may enter for any later objective, which keeps the artificials at 0.
 
-Only boxed systems are accepted.  The box rows x_i <= 1 bound the variables,
-and each slack and artificial is affine in them, so every tableau column is
-bounded and no LP here, phase 1 included, can be unbounded.
+Every system lies in the 0/1 box.  The box rows x_i <= 1 bound the
+variables, and each slack and artificial is affine in them, so every tableau
+column is bounded and no LP here, phase 1 included, can be unbounded.
 
 ``ExactSimplex`` is the one way to drive a tableau: ``feasible`` runs
 phase 1 once, then ``minimize``/``maximize`` re-optimize the same warm
@@ -58,8 +58,6 @@ class ExactSimplex:
     """
 
     def __init__(self, system: InequalitySystem):
-        if not system.box:
-            raise ValueError("the simplex operates on boxed systems")
         self.n = n = system.num_vars
 
         # Rows  a . x <= b, each side scaled to integers once; the sides the

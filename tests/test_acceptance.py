@@ -197,8 +197,7 @@ def test_criterion_7_coeff_ratio_bound(capsys):
         a2 = agg.row.coeffs.get(x2, 0)
         assert a2 != 0
         bound = Fraction(a2, a1)
-        rep = decision_margin(cnf_to_system(inst.cnf), x1, 0, {x1, x2},
-                              coeff_ratio_bound=bound)
+        rep = decision_margin(cnf_to_system(inst.cnf), x1, 0, {x1, x2})
         assert rep.margin <= bound, (e, b, c, row2_pos)
         # fixing x2 = 1 must make the previously excluded point feasible
         line = DecisionLineId(x1, ((x2, 1),))

@@ -184,6 +184,19 @@ class TestMargin:
         rows = list(csv.reader(io.StringIO(out)))
         assert sum(1 for r in rows if r[0] == "line") == 2
 
+    def test_file_mode_empty_line(self, capsys, tmp_path):
+        # (x1 or x2) and (not x2): the x2=1 line has no feasible x1
+        path = tmp_path / "empty_line.cnf"
+        path.write_text("p cnf 2 2\n1 2 0\n-2 0\n")
+        code, out, _ = run(capsys, "margin", str(path), "--dominant", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "record,line,lower,upper,margin,margin_float,coeff_ratio_bound",
+            "line,x2=0,1,1,,,",
+            "line,x2=1,EMPTY,EMPTY,,,",
+            "margin,,,,1,1.0,",
+        ]
+
     def test_needs_exactly_one_source(self, capsys, eq1_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["margin", eq1_file, "--config", "x.json"])

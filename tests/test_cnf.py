@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from satmargin.cnf import (
     UnsatisfiableError, TWO_SAT, HORN, DUAL_HORN, XOR_TAG, general_k,
     parse_dimacs, to_dimacs, evaluate, classify, brute_force_models,
     dominant_variables, solve_2sat, solve_horn_unit_prop, solve_xor_gauss,
-    all_assignments,
 )
 
 from conftest import (EQ1_DIMACS, random_cnf, random_2sat_cnf,
@@ -181,7 +181,8 @@ class TestBruteForce:
         assert brute_force_models(CNF.from_ints(1, ors=[[1], [-1]])) == []
 
     def test_vacuous(self):
-        assert brute_force_models(CNF.from_ints(2)) == list(all_assignments(2))
+        assert brute_force_models(CNF.from_ints(2)) == \
+            list(itertools.product((0, 1), repeat=2))
 
     def test_cap(self):
         with pytest.raises(BruteForceCapError):
@@ -192,7 +193,7 @@ class TestBruteForce:
         for _ in range(40):
             cnf = random_cnf(rng, rng.randint(1, 7), rng.randint(1, 10))
             models = set(brute_force_models(cnf))
-            for a in all_assignments(cnf.num_vars):
+            for a in itertools.product((0, 1), repeat=cnf.num_vars):
                 assert (a in models) == evaluate(cnf, a)
 
     def test_xor_models(self):

@@ -59,6 +59,18 @@ class TestDecisionInterval:
         line = DecisionLineId(1, ())
         assert decision_interval(sys_, line) == (0, Fraction(1, 2))
 
+    def test_rows_in_order(self):
+        # rows are read in order: a violated row ends the scan before a
+        # later row with a variable the line neither fixes nor varies, and
+        # the stray variable named is the row's first in coefficient order
+        violated = BoundedInequality({2: 1}, 1, 1)
+        stray = BoundedInequality({4: 1, 1: 1, 3: 1}, 0, 3)
+        line = DecisionLineId(1, ((2, 0),))
+        assert decision_interval(
+            InequalitySystem(4, [violated, stray]), line) is None
+        with pytest.raises(ValueError, match="mentions x4,"):
+            decision_interval(InequalitySystem(4, [stray, violated]), line)
+
 
 class TestDecisionMargin:
     def test_unit_clause(self):
@@ -75,8 +87,7 @@ class TestDecisionMargin:
         a2 = agg.row.coeffs[inst.candidate_vars[1]]
         assert (a1, a2) == (7, 1)
         report = decision_margin(cnf_to_system(inst.cnf), inst.dominant_var,
-                                 0, set(inst.candidate_vars),
-                                 coeff_ratio_bound=Fraction(a2, a1))
+                                 0, set(inst.candidate_vars))
         assert report.margin <= Fraction(a2, a1)
         # the companion=1 line re-admits the infeasible point
         x2 = inst.candidate_vars[1]

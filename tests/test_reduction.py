@@ -63,6 +63,16 @@ class TestClauseToInequality:
             assert row.lower == 1 - cl.negative_count()
 
 
+class TestInequalitySystem:
+    def test_unboxed_rejected(self):
+        # every system lies in the 0/1 box, which is what keeps every LP
+        # bounded and every enumeration finite
+        with pytest.raises(ValueError, match="0/1 box"):
+            InequalitySystem(
+                1, [BoundedInequality({1: 1}, Fraction(0), Fraction(10 ** 9))],
+                box=False)
+
+
 class TestCnfToSystem:
     def test_eq3_rows(self):
         sys_ = eq1_system()
@@ -112,10 +122,6 @@ class TestIntegralPoints:
 
     def test_box_only(self):
         assert integral_points(InequalitySystem(1, [])) == [(0,), (1,)]
-
-    def test_requires_box(self):
-        with pytest.raises(ValueError):
-            integral_points(InequalitySystem(1, [], box=False))
 
     def test_faithfulness_suite(self):
         rng = random.Random(20)
@@ -205,5 +211,5 @@ class TestFormat:
 
     def test_rational_rendering(self):
         row = BoundedInequality({1: 2}, Fraction(1, 3), Fraction(5, 2))
-        text = format_system(InequalitySystem(1, [row], box=False))
+        text = format_system(InequalitySystem(1, [row]))
         assert text == "1/3 <= 2*x1 <= 5/2\n"

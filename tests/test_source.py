@@ -66,3 +66,21 @@ def test_import_leaves_numpy_unloaded():
          "print('numpy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert done.stdout.splitlines() == [satmargin.__file__, "False"]
+
+
+def test_box_read_only_on_construction():
+    # every system lies in the 0/1 box; InequalitySystem.__post_init__
+    # rejects box=False, so no other code has a flag to check
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node)
+                   for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "InequalitySystem"
+                   for func in cls.body
+                   if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"
+                   for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "box"
+                  and id(node) not in allowed]
+    assert not found, f"reads of .box outside InequalitySystem: {found}"
