@@ -123,6 +123,12 @@ class TestIntegralPoints:
     def test_box_only(self):
         assert integral_points(InequalitySystem(1, [])) == [(0,), (1,)]
 
+    def test_requires_box(self):
+        # an unboxed system has no finite set of integral points; it is
+        # refused before integral_points can see it
+        with pytest.raises(ValueError):
+            integral_points(InequalitySystem(1, [], box=False))
+
     def test_faithfulness_suite(self):
         rng = random.Random(20)
         for _ in range(120):

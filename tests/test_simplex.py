@@ -115,6 +115,14 @@ class TestExamples:
         tab.minimize({1: Fraction(1)})
         assert satisfies(eq3_system(), tab.witness())
 
+    def test_unboxed_rejected(self):
+        # every LP here is over the 0/1 box, which is what keeps it bounded;
+        # an unboxed system is refused before a tableau is built
+        with pytest.raises(ValueError, match="0/1 box"):
+            ExactSimplex(InequalitySystem(
+                1, [BoundedInequality({1: 1}, Fraction(0), Fraction(10 ** 9))],
+                box=False))
+
 
 class TestVariableInterval:
     def test_eq3_x1(self):
