@@ -20,10 +20,15 @@ records agreement.
 With exact LP the selection threshold is sharp (no epsilon): a lower bound
 greater than 0 is exactly membership in the minimal model.  Every
 variable's full feasible interval is computed on demand, on the first read
-of ``HornSolveReport.intervals``, on the tableau the solve already took
-through phase 1, so the asymmetry between value-1 variables (lower bound
-exactly 1) and value-0 variables (upper bound possibly strictly between 0
-and 1) can still be inspected.
+of ``HornSolveReport.intervals``, on the tableau the solve already made
+feasible, so the asymmetry between value-1 variables (lower bound exactly 1)
+and value-0 variables (upper bound possibly strictly between 0 and 1) can
+still be inspected.
+
+On this LP the feasibility pass, a dual simplex from the slack basis,
+works like unit propagation: a satisfiable CNF takes exactly one pivot per
+variable of its minimal model, and ``min sum x`` then starts at the least
+element and takes none.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ class HornSolveReport:
     @cached_property
     def intervals(self) -> dict[int, tuple[Fraction, Fraction]] | None:
         """Exact feasible interval of every variable (None: LP infeasible),
-        computed on first read: 2n objectives on the solve's warm tableau."""
+        computed on first read: 2n objectives on the solve's warm, already
+        feasible tableau, with no second feasibility pass."""
         return self.tableau.intervals()
 
 

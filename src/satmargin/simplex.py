@@ -1,13 +1,13 @@
 """Exact rational linear programming over the 0/1 box via integer-pivoting
-simplex.
+simplex: a dual simplex for feasibility, then the primal for each objective.
 
-The tableau is fraction-free (Bareiss): every entry is an integer minor
-over one common positive denominator D, and no floating point is involved
-anywhere.  Each row, the objective row included, is a sparse ``dict`` from
-column to non-zero python int, tagged with the denominator ``d[i]`` it was
-last written at, so that row i's values are T[i][j] / d[i]; its entries in
-the dense Bareiss tableau over D are T[i][j] * D // d[i].  Python ints
-grow as needed, so results are exact at every size.
+The tableau is fraction-free (Bareiss): every entry is, up to sign, an
+integer minor over one common positive denominator D, and no floating point
+is involved anywhere.  Each row, the objective row included, is a sparse
+``dict`` from column to non-zero python int, tagged with the denominator
+``d[i]`` it was last written at, so that row i's values are T[i][j] / d[i];
+its entries in the dense Bareiss tableau over D are T[i][j] * D // d[i].
+Python ints grow as needed, so results are exact at every size.
 
 A pivot is the Bareiss update T[i] <- (piv*T[i] - T[i,c]*T[r]) / D.  A row
 with a zero in the pivot column only changes scale, which its tag already
@@ -18,21 +18,37 @@ tagged with piv is updated in place without the multiply.  A column index,
 the set of rows with a non-zero in each column, finds those rows without a
 scan.
 
-Bland's smallest-index rule makes the method anti-cycling and
-deterministic; its ratio test is one exact minimum over the rows with a
-positive entry in the entering column, ties broken on the basic variable.
-A row's scale cancels in its ratio, so stored entries are compared.  Two
-phases: phase 1 minimizes the total of the artificial variables, and then
-freezes the columns whose phase-1 reduced cost is zero; only those columns
-may enter for any later objective, which keeps the artificials at 0.
+Every row a . x <= b starts with its slack basic, b < 0 included.  Every
+system lies in the 0/1 box: the box rows x_i <= 1 bound the variables, and
+each slack is affine in them, so every tableau column is bounded and no LP
+here can be unbounded.
 
-Every system lies in the 0/1 box.  The box rows x_i <= 1 bound the
-variables, and each slack and artificial is affine in them, so every tableau
-column is bounded and no LP here, phase 1 included, can be unbounded.
+Feasibility is a dual simplex (Lemke, Naval Res. Logist. Q. 1, 1954) from
+that slack basis with the zero objective, for which every basis is dual
+feasible.  It leaves on the row with a negative right-hand side whose basic
+variable is smallest, and enters the column with the least ratio
+z_j / T[r, j] over that row's negative entries, ties to the smallest column;
+with every cost 0 every ratio is 0, so that is the smallest column with a
+negative entry.  The row is negated first, which makes the pivot positive,
+so the Bareiss update applies unchanged and D stays positive.  A negative
+row with no negative entry proves the system infeasible, since x >= 0
+cannot meet it.  The dual ends: read on the dual LP, its leaving row is the
+entering dual variable of smallest index, and its entering column the
+leaving dual variable that wins the ratio test, ties to the smallest index.
+That is Bland's rule (Math. Oper. Res. 2, 1977) on the dual, which never
+returns to a basis, although with zero cost every pivot is dual-degenerate.
 
-``ExactSimplex`` is the one way to drive a tableau: ``feasible`` runs
-phase 1 once, then ``minimize``/``maximize`` re-optimize the same warm
-tableau for each new objective, ``witness`` reads the current vertex, and
+After it every right-hand side is >= 0, and each objective runs the primal
+simplex on the same warm tableau over every column.  Bland's rule enters
+the smallest column with a positive reduced cost; the ratio test is one
+exact minimum over the rows with a positive entry in that column, ties to
+the smaller basic variable.  A row's scale cancels in its ratio, so stored
+entries are compared.  No phase 1, artificial column or column mask is
+needed.
+
+``ExactSimplex`` is the one way to drive a tableau: ``feasible`` runs the
+dual once, then ``minimize``/``maximize`` re-optimize the same warm tableau
+for each new objective, ``witness`` reads the current vertex, and
 ``intervals`` gets every variable's bounds as 2n objectives on it.
 """
 
@@ -75,22 +91,18 @@ class ExactSimplex:
                 rows.append(({v: -c * q for v, c in a.items()}, -p))
         rows += [({v: 1}, 1) for v in range(1, n + 1)]
 
+        # Each row keeps its slack as the basic variable, even where b < 0:
+        # with a zero objective that basis is dual feasible.
         m = len(rows)
-        n_art = sum(1 for _, b in rows if b < 0)
-        ncols = n + m + n_art
+        ncols = n + m
         T = _Rows()
-        basis = []
-        arts = iter(range(n + m, ncols))
         for i, (a, b) in enumerate(rows):
-            sign = -1 if b < 0 else 1  # negative rhs rows get artificials
-            t = {v - 1: sign * c for v, c in a.items()}
-            t[n + i] = sign  # slack
+            t = {v - 1: c for v, c in a.items()}
+            t[n + i] = 1  # slack
             if b:
-                t[ncols] = sign * b
-            basis.append(n + i if sign > 0 else next(arts))  # slack or artificial
-            t[basis[i]] = 1
+                t[ncols] = b
             T.append(t)
-        T.append({})  # row m: the objective
+        T.append({})  # row m: the objective, zero until one is set
         cols: list[set[int]] = [set() for _ in range(ncols + 1)]
         for i, t in enumerate(T):
             for j in t:
@@ -102,11 +114,7 @@ class ExactSimplex:
         self.T = T
         self.d = [1] * (m + 1)
         self.D = 1
-        self.basis = basis
-        # Phase 1 minimizes the artificial total; the artificials are the
-        # last n_art columns.
-        self._set_objective(dict.fromkeys(range(n + m, ncols), 1))
-        self._eligible = [True] * ncols + [False]  # the rhs never enters
+        self.basis = list(range(n, ncols))
         self._feasible: bool | None = None
 
     # -- tableau mechanics -------------------------------------------------
@@ -197,28 +205,53 @@ class ExactSimplex:
         return best
 
     def _optimize_current(self):
-        """Bland simplex on row m to optimality: enter the smallest eligible
-        column with a positive reduced cost."""
-        eligible = self._eligible
+        """Bland simplex on row m to optimality: enter the smallest column
+        with a positive reduced cost.
+
+        Bland's rule ends on a correct tableau, but a pivot cap would not be
+        sound, as it can take exponentially many pivots.  So each pivot is
+        checked instead for what no correct pivot does: leave the entering
+        column priced, make the objective worse, or leave a rewritten row
+        with a negative right-hand side."""
+        T, d, m, rhs = self.T, self.d, self.m, self.ncols
         while True:
-            c = min((j for j, x in self.T[self.m].items()
-                     if x > 0 and eligible[j]), default=None)
+            z = T[m]
+            c = min((j for j, x in z.items() if x > 0 and j != rhs), default=None)
             if c is None:
                 return
+            rewritten = [i for i in self._cols[c] if i < m]
+            value, scale = z.get(rhs, 0), d[m]
             self._pivot(self._ratio_leave(c), c)
+            z = T[m]
+            if c in z or z.get(rhs, 0) * scale > value * d[m] \
+                    or any(T[i].get(rhs, 0) < 0 for i in rewritten):
+                raise RuntimeError(
+                    f"simplex invariant broken: the pivot on column {c} left "
+                    "it priced, made the objective worse or a right-hand "
+                    "side negative")
 
     # -- public interface --------------------------------------------------
 
     def feasible(self) -> bool:
-        """Phase 1, run once: is the system's rational relaxation nonempty?"""
+        """Dual simplex with the zero objective, run once: is the system's
+        rational relaxation nonempty?  Afterwards every right-hand side is
+        >= 0, so the tableau is primal feasible for every later objective."""
         if self._feasible is None:
-            self._optimize_current()
-            z = self.T[self.m]
-            self._feasible = self.ncols not in z
-            # Freeze the columns with zero phase-1 reduced cost.  A pivot on
-            # one would only rescale the phase-1 row by piv/D > 0, so the
-            # mask stays exact once later objectives replace that row.
-            self._eligible = [j not in z for j in range(self.ncols)] + [False]
+            T, basis, rhs, m = self.T, self.basis, self.ncols, self.m
+            while True:
+                r = min((i for i in self._cols[rhs] if i < m and T[i][rhs] < 0),
+                        key=basis.__getitem__, default=None)
+                if r is None:
+                    self._feasible = True
+                    break
+                # every ratio z_j / T[r, j] is 0, so the tie-break decides
+                c = min((j for j, x in T[r].items() if x < 0 and j != rhs),
+                        default=None)
+                if c is None:  # x >= 0 cannot meet a row with no negative entry
+                    self._feasible = False
+                    break
+                T[r] = {j: -x for j, x in T[r].items()}
+                self._pivot(r, c)
         return self._feasible
 
     def minimize(self, objective: dict[int, Fraction]) -> Fraction | None:
@@ -234,8 +267,6 @@ class ExactSimplex:
                 raise ValueError(f"objective references x{v} outside 1..{self.n}")
             cost[v - 1] = int(Fraction(coeff) * scale)
         self._set_objective(cost)
-        # phase 1 left the artificials at 0 and only eligible columns enter,
-        # so they stay at 0
         self._optimize_current()
         return Fraction(self.T[self.m].get(self.ncols, 0),
                         self.d[self.m] * scale)

@@ -169,7 +169,7 @@ class TestLeastElement:
         assert len(built) == 1
         assert report.intervals[inst.dominant_var] == (0, Fraction(2, 3))
         assert len(built) == 1
-        # an LP-infeasible CNF: phase 1 already said so, nothing pivots again
+        # an LP-infeasible CNF: the dual already said so, nothing pivots again
         report = solve_horn_margin(CNF.from_ints(2, ors=[[1], [2], [-1, -2]]))
         assert report.result.status == "UNSAT"
         solved = len(pivots)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from satmargin.cnf import CNF, parse_dimacs, brute_force_models
+from satmargin.cnf import (CNF, parse_dimacs, brute_force_models,
+                           solve_horn_unit_prop)
 from satmargin.reduction import (
     BoundedInequality, InequalitySystem, cnf_to_system, satisfies,
 )
@@ -243,8 +244,8 @@ class TestInvariants:
             == Fraction(big ** 2, 3)
 
     def test_objective_row_with_big_entries_is_exact(self):
-        # phase 1 leaves an entry of about 2**57; the new objective row's
-        # sums pass 2**63, and python ints keep every one of them exact
+        # the feasibility pass leaves an entry of about 2**57; the objective
+        # row's sums pass 2**63, and python ints keep every one exact
         sys_ = InequalitySystem(2, [
             BoundedInequality({1: -345831701, 2: 325370344},
                               Fraction(162736977), Fraction(540517108)),
@@ -263,19 +264,18 @@ class TestInvariants:
         assert all(type(x) is int for row in tab.T for x in row.values())
 
     def test_bland_tie_break(self):
-        # rows 0 and 2 tie in the ratio test for column 11; Bland's rule
-        # takes the one with the smaller basic variable (1, not 4)
-        sys_ = InequalitySystem(4, [
-            BoundedInequality({1: -1, 2: 2, 3: -1, 4: -1},
-                              Fraction(-1), Fraction(2)),
-            BoundedInequality({2: 2, 3: 2}, Fraction(1), Fraction(2))])
+        # after min 2*x1 - x2, rows 0 and 1 tie in the ratio test for
+        # column 3; Bland's rule takes the one with the smaller basic
+        # variable (1, not 2), though it is the later row
+        sys_ = InequalitySystem(2, [
+            BoundedInequality({1: -1, 2: 1}, Fraction(0), Fraction(5, 2)),
+            BoundedInequality({1: 3, 2: -2}, Fraction(-1, 2), Fraction(9, 2))])
         tab = ExactSimplex(sys_)
-        assert tab.minimize({1: -1, 2: 1, 3: 2}) == Fraction(-1, 2)
+        assert tab.minimize({1: 2, 2: -1}) == Fraction(-1, 4)
         T, rhs = dense(tab), tab.ncols
-        assert [(i, Fraction(T[i][rhs], T[i][11]), tab.basis[i])
-                for i in range(tab.m) if T[i][11] > 0] == \
-            [(0, 1, 4), (2, 1, 1)]
-        assert tab._ratio_leave(11) == 2
+        assert [(i, Fraction(T[i][rhs], T[i][3]), tab.basis[i])
+                for i in range(tab.m) if T[i][3] > 0] == [(0, 1, 2), (1, 1, 1)]
+        assert tab._ratio_leave(3) == 1
 
     def test_degenerate_pivoting_terminates(self):
         rows = [BoundedInequality({1: 1, 2: 1, 3: 1}, Fraction(0), Fraction(1)),
@@ -303,14 +303,150 @@ class TestInvariants:
         with pytest.raises(RuntimeError, match="pivot"):
             tab._pivot(r, c)
 
-    def test_improving_ray_raises(self):
-        # a boxed tableau has no unbounded column; finding one is a bug
+    def test_pivot_that_keeps_its_column_priced_raises(self, monkeypatch):
+        # a column index that misses the objective row leaves the entering
+        # column priced, and Bland's rule would enter it forever; a pivot
+        # that changes nothing stands in for it
         tab = ExactSimplex(eq3_system())
-        T = dense(tab)
-        c = next(c for c in range(tab.ncols)
-                 if all(T[i][c] <= 0 for i in range(tab.m)))
+        assert tab.feasible()
+        monkeypatch.setattr(ExactSimplex, "_pivot", lambda tab, r, c: None)
+        with pytest.raises(RuntimeError, match="invariant broken"):
+            tab.minimize({1: Fraction(1)})
+
+    def test_wrong_leaving_row_raises(self, monkeypatch):
+        # leaving on the largest ratio instead of the least drives another
+        # rewritten row's right-hand side negative
+        tab = ExactSimplex(eq3_system())
+        assert tab.feasible()
+
+        def largest_ratio(tab, e):
+            rows = [i for i in tab._cols[e] if i < tab.m and tab.T[i][e] > 0]
+            return max(rows, key=lambda i: Fraction(tab.T[i].get(tab.ncols, 0),
+                                                    tab.T[i][e]))
+
+        monkeypatch.setattr(ExactSimplex, "_ratio_leave", largest_ratio)
+        with pytest.raises(RuntimeError, match="invariant broken"):
+            tab.minimize({1: Fraction(1)})
+
+    def test_improving_ray_raises(self):
+        # a boxed tableau has no unbounded column, and the slack basis has
+        # no all-nonpositive column either, so one is made by hand: finding
+        # one is a bug
+        tab = ExactSimplex(eq3_system())
+        for i in tab._cols[0]:
+            tab.T[i][0] = -abs(tab.T[i][0])
         with pytest.raises(RuntimeError, match="ray"):
-            tab._ratio_leave(c)
+            tab._ratio_leave(0)
+
+
+def count_pivots(monkeypatch):
+    """Patch ``ExactSimplex._pivot`` to count its calls under "pivots" in
+    the returned Counter."""
+    taken = Counter()
+    real_pivot = ExactSimplex._pivot
+
+    def counted(tab, r, c):
+        taken["pivots"] += 1
+        real_pivot(tab, r, c)
+
+    monkeypatch.setattr(ExactSimplex, "_pivot", counted)
+    return taken
+
+
+def farkas_rows(tab):
+    """Rows that prove infeasibility: negative right-hand side, no negative
+    entry."""
+    rhs = tab.ncols
+    return [i for i in range(tab.m) if tab.T[i].get(rhs, 0) < 0
+            and all(x >= 0 for j, x in tab.T[i].items() if j != rhs)]
+
+
+class TestDual:
+    def test_leaving_row_and_entering_column(self, monkeypatch):
+        # each dual pivot leaves on the negative row with the smallest basic
+        # variable and enters the smallest column with a negative entry in
+        # it; _pivot sees that row already negated
+        seen = Counter()
+        real_pivot = ExactSimplex._pivot
+
+        def checked(tab, r, c):
+            T, rhs = tab.T, tab.ncols
+            negative = [i for i in range(tab.m) if T[i].get(rhs, 0) < 0]
+            assert T[r][rhs] > 0
+            assert tab.basis[r] < min((tab.basis[i] for i in negative),
+                                      default=tab.ncols)
+            assert c == min(j for j, x in T[r].items() if x > 0 and j != rhs)
+            seen["pivots"] += 1
+            # a smaller row index is negative too: row order would differ
+            seen["later row"] += any(i < r for i in negative)
+            real_pivot(tab, r, c)
+
+        monkeypatch.setattr(ExactSimplex, "_pivot", checked)
+        # x2 >= 1/3 and x1 + x2 >= 1 pivot x2 into row 1 and x1 into row
+        # 2; the pivot on x2 >= 2 then leaves rows 0, 2 and 6 negative, and
+        # row 2 leaves first, as x1 is the smallest basic variable
+        later = InequalitySystem(2, [
+            BoundedInequality({2: 3}, Fraction(1), Fraction(5, 2)),
+            BoundedInequality({1: -3, 2: -3}, Fraction(-5), Fraction(-3)),
+            BoundedInequality({2: -1}, Fraction(-6), Fraction(-2))])
+        for sys_ in pivot_systems() + [later]:
+            ExactSimplex(sys_).feasible()
+        assert seen["pivots"] > 40 and seen["later row"]
+
+    def test_farkas_row_after_pivots(self, monkeypatch):
+        # x1 + x2 >= 3/2 and x1 <= 1/4 cannot both hold with x2 <= 1, yet
+        # no row of the slack basis shows it: the dual pivots first
+        sys_ = InequalitySystem(2, [
+            BoundedInequality({1: 1, 2: 1}, Fraction(3, 2), Fraction(2)),
+            BoundedInequality({1: 1}, Fraction(0), Fraction(1, 4))])
+        tab = ExactSimplex(sys_)
+        assert farkas_rows(tab) == []
+        taken = count_pivots(monkeypatch)
+        assert not tab.feasible()
+        assert taken["pivots"] >= 1 and farkas_rows(tab)
+        assert tab.minimize({1: Fraction(1)}) is None
+        assert oracle_minimum(sys_, {1: Fraction(1)}) is None
+
+    def test_dual_degenerate_terminates(self):
+        """Every cost is zero while the dual runs, so every ratio ties and
+        every pivot is dual-degenerate; only Bland's rule on the dual (see
+        the module docstring) keeps the pivots from cycling.  Here the
+        rows also tie in the primal: four covering rows, all negative at
+        the slack basis, and x1 = x2 = x3 as rows with right-hand side 0."""
+        rows = [BoundedInequality({1: 1, 2: 1, 3: 1}, Fraction(1), Fraction(3)),
+                BoundedInequality({1: 1, 2: 1}, Fraction(1), Fraction(2)),
+                BoundedInequality({2: 1, 3: 1}, Fraction(1), Fraction(2)),
+                BoundedInequality({1: 1, 3: 1}, Fraction(1), Fraction(2)),
+                BoundedInequality({1: 1, 2: -1}, Fraction(0), Fraction(0)),
+                BoundedInequality({2: 1, 3: -1}, Fraction(0), Fraction(0))]
+        sys_ = InequalitySystem(3, rows)
+        tab = ExactSimplex(sys_)
+        assert tab.feasible()
+        assert all(tab.T[i].get(tab.ncols, 0) >= 0 for i in range(tab.m))
+        obj = {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}
+        assert tab.minimize(obj) == Fraction(3, 2) == oracle_minimum(sys_, obj)
+        assert tab.witness() == (Fraction(1, 2),) * 3
+
+    def test_horn_pivots_are_the_minimal_model(self, monkeypatch):
+        # on a satisfiable Horn system the dual is unit propagation: one
+        # pivot per variable of the minimal model, after which the vertex is
+        # the least element and min sum x takes no pivot
+        taken = count_pivots(monkeypatch)
+        rng = random.Random(47)
+        done = 0
+        while done < 150:
+            cnf = random_horn_cnf(rng, rng.randint(1, 30), rng.randint(1, 40))
+            model = solve_horn_unit_prop(cnf)
+            if model.status != "SAT":
+                continue
+            done += 1
+            tab = ExactSimplex(cnf_to_system(cnf))
+            taken.clear()
+            assert tab.feasible()
+            assert taken["pivots"] == sum(model.witness)
+            tab.minimize({v: Fraction(1) for v in range(1, cnf.num_vars + 1)})
+            assert taken["pivots"] == sum(model.witness)
+            assert tab.witness() == model.witness
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +499,8 @@ class TestPivot:
             want_T, want_D = dense_bareiss(before, tab.D, r, c)
             want_basis = tab.basis[:r] + [c] + tab.basis[r + 1:]
             taken["piv == D" if before[r][c] == tab.D else "piv != D"] += 1
+            # the dual negates its pivot row first, basic entry included
+            taken["negated row"] += before[r][tab.basis[r]] < 0
             # a rewritten row last written at another denominator than the
             # pivot's is rescaled, not updated in place
             taken["rescaled"] += sum(1 for i, row in enumerate(tab.T)
@@ -380,6 +518,7 @@ class TestPivot:
         for sys_ in pivot_systems():
             ExactSimplex(sys_).intervals()
         assert taken["piv == D"] and taken["piv != D"] and taken["rescaled"]
+        assert taken["negated row"]
         assert biggest >= 2 ** 63
 
     def test_pivot_leaves_rows_without_its_column_untouched(self, monkeypatch):
